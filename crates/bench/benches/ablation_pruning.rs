@@ -25,10 +25,10 @@ fn bench_pruning(c: &mut Criterion) {
         let engine = CachingEngine::new(&inner);
         let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
         let out = search_tier(&ctx, "application", load, budget, &options).unwrap();
-        let stats = out.stats();
+        let health = out.health();
         println!(
-            "pruned search: {} cost evals, {} quality evals, {} pruned by cost",
-            stats.cost_evaluations, stats.quality_evaluations, stats.pruned_by_cost
+            "pruned search: {} evaluated, {} pruned by cost",
+            health.candidates_evaluated, health.candidates_pruned
         );
         let frontier = tier_pareto_frontier(&ctx, "application", load, &options).unwrap();
         println!("exhaustive frontier: {} Pareto steps", frontier.len());

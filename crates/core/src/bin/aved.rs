@@ -377,12 +377,13 @@ fn design(flags: &Flags<'_>) -> Result<(), CliError> {
 }
 
 /// Surfaces a degraded search on stderr so scripted pipelines notice it
-/// even when the design itself looks fine.
+/// even when the design itself looks fine; the counts follow on the
+/// `search:` stats line.
 fn report_health(health: &aved::search::SearchHealth) {
     if !health.is_degraded() {
         return;
     }
-    eprintln!("warning: search degraded: {health}");
+    eprintln!("warning: search degraded");
     for skip in &health.skipped {
         eprintln!(
             "  skipped {}/{} ({} active, {} spare): {}",
@@ -455,30 +456,12 @@ fn parse_search_options(flags: &Flags<'_>) -> Result<SearchOptions, CliError> {
     Ok(options)
 }
 
-/// One-line workload summary on stderr: worker count, cache traffic,
-/// dominance pruning, warm-start effectiveness, per-phase timing. Stderr
-/// so pipelines that consume the design on stdout are unaffected.
+/// One-line workload summary on stderr: worker count, evaluations, cache
+/// traffic, dominance pruning, warm-start effectiveness, journal replays,
+/// per-phase timing. Stderr so pipelines that consume the design on stdout
+/// are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
-    eprintln!(
-        "search: {} job(s), cache {}/{} hit, {} candidate(s) pruned by cost, \
-         warm {}/{} hit, {} rebuild(s) avoided, {} iteration(s) saved, \
-         {} budget-exhausted, {} replayed from journal, \
-         enumerate {:.1} ms + solve {:.1} ms + merge {:.1} ms (total {:.1} ms)",
-        health.jobs,
-        health.cache_hits,
-        health.cache_hits + health.cache_misses,
-        health.candidates_pruned,
-        health.warm_hits,
-        health.warm_solves,
-        health.chain_rebuilds_avoided,
-        health.iterations_saved,
-        health.budget_exhausted,
-        health.journal_replayed,
-        health.enumeration_time.as_secs_f64() * 1e3,
-        health.solve_time.as_secs_f64() * 1e3,
-        health.merge_time.as_secs_f64() * 1e3,
-        health.wall_time.as_secs_f64() * 1e3,
-    );
+    eprintln!("search: {health}");
 }
 
 fn parse_pins(flags: &Flags<'_>, options: &mut SearchOptions) -> Result<(), CliError> {

@@ -41,7 +41,7 @@ pub struct SearchOptions {
     /// Cost-dominance pruning: skip evaluating candidates that already cost
     /// strictly more than a known-feasible design. On by default; pruning
     /// never changes the selected design, only the work done (see
-    /// `SearchStats::pruned_by_cost`). Disable to force exhaustive
+    /// `SearchHealth::candidates_pruned`). Disable to force exhaustive
     /// evaluation, e.g. when auditing the pruning itself.
     pub prune: bool,
     /// Warm-started evaluation: each worker carries an `EvalSession` so
@@ -228,12 +228,6 @@ impl SearchOptions {
     pub fn with_resume(mut self, replay: Arc<JournalReplay>) -> SearchOptions {
         self.resume = Some(replay);
         self
-    }
-
-    /// The absolute whole-search deadline for a search that started at
-    /// `start`, when one is configured.
-    pub(crate) fn deadline_from(&self, start: Instant) -> Option<Instant> {
-        self.search_deadline.map(|d| start + d)
     }
 
     /// The solve budget every evaluation session runs under: the absolute

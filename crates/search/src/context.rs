@@ -35,6 +35,16 @@ impl<'a> EvalContext<'a> {
         }
     }
 
+    /// The service's finite job size; a requirement mismatch for an
+    /// enterprise service, which declares none.
+    pub(crate) fn job_size(&self) -> Result<f64, SearchError> {
+        self.service
+            .job_size()
+            .ok_or_else(|| SearchError::RequirementMismatch {
+                detail: "service declares no jobsize".into(),
+            })
+    }
+
     /// The infrastructure model.
     #[must_use]
     pub fn infrastructure(&self) -> &'a Infrastructure {

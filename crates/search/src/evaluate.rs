@@ -222,12 +222,7 @@ pub fn evaluate_job_design_in(
     td: &TierDesign,
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
-    let job_size = ctx
-        .service()
-        .job_size()
-        .ok_or_else(|| SearchError::RequirementMismatch {
-            detail: "service declares no jobsize; use evaluate_enterprise_design".into(),
-        })?;
+    let job_size = ctx.job_size()?;
     let perf = ctx.catalog().resolve_perf(option.performance())?;
     let throughput = perf.throughput(td.n_active());
     if throughput <= 0.0 {

@@ -1,55 +1,12 @@
-//! Cost/quality Pareto frontiers — the data behind the paper's Figs. 6–8.
-//!
-//! Unlike the guided tier search, a frontier sweep must evaluate *every*
-//! candidate (each one might be a frontier point), so no cost pruning
-//! applies — but the evaluations are independent, which makes the sweep the
-//! best-parallelizing entry point: candidates are enumerated serially,
-//! evaluated across [`SearchOptions::jobs`] workers (each carrying a
-//! warm-started [`aved_avail::EvalSession`] over its contiguous,
-//! locality-ordered shard), and folded back in enumeration order, so the
-//! frontier is identical at any worker count and with warm starts on or
-//! off.
+//! Cost/quality Pareto frontiers — the data behind the paper's Figs. 6–8,
+//! run by the [`crate::sweep`] kernel under its Pareto policy: every
+//! candidate might be a frontier point, so one unpruned batch covers every
+//! level, and the frontier is identical at any worker count, warm or cold.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
-
-use aved_avail::EvalSession;
 use aved_units::Duration;
 
-use crate::evaluate::{evaluate_enterprise_design_in, evaluate_job_design_in};
-use crate::health::isolate_candidate;
-use crate::journal::{enterprise_key, job_key};
-use crate::parallel::{effective_jobs, parallel_map_with};
-use crate::{
-    enumerate_tier_candidates, EvalContext, EvaluatedDesign, SearchError, SearchHealth,
-    SearchOptions,
-};
-
-/// What happened to one candidate of a frontier sweep, in the worker.
-enum SweepOutcome {
-    /// Skipped without evaluation: a worker already hit a fatal error
-    /// (the fold surfaces it) or the sweep is stopping (the post-fold
-    /// check records the interruption).
-    Skipped,
-    /// Restored bit-for-bit from the resume journal.
-    Replayed(Result<Option<EvaluatedDesign>, SearchError>),
-    /// Evaluated live.
-    Evaluated(Result<Option<EvaluatedDesign>, SearchError>),
-}
-
-/// Raises the abort flag for fatal (or strict-mode) failures; a
-/// cancellation is never fatal — it resolves into a clean interruption.
-fn flag_fatal(
-    result: &Result<Option<EvaluatedDesign>, SearchError>,
-    strict: bool,
-    abort: &AtomicBool,
-) {
-    if let Err(e) = result {
-        if !e.is_cancellation() && (strict || !e.is_candidate_scoped()) {
-            abort.store(true, Ordering::Relaxed);
-        }
-    }
-}
+use crate::sweep::{Evaluator, Levels, Policy, Sweep};
+use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
 
 /// Computes the cost/downtime Pareto frontier of one enterprise tier at a
 /// fixed load: every design that is the cheapest way to reach its downtime
@@ -87,104 +44,15 @@ pub fn tier_pareto_frontier_with_health(
     load: f64,
     options: &SearchOptions,
 ) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
-    let started = Instant::now();
-    let tier = ctx.tier(tier_name)?;
-    let deadline = options.deadline_from(started);
-    let budget = options.eval_budget(deadline);
-    let jobs = effective_jobs(options.jobs);
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
-    };
-
-    let mut items: Vec<(&aved_model::ResourceOption, aved_model::TierDesign)> = Vec::new();
-    for option in tier.options() {
-        let perf = ctx.catalog().resolve_perf(option.performance())?;
-        let Some(min_perf) = perf.min_active_for(load) else {
-            continue;
-        };
-        let Some(start_active) = option.n_active().next_at_or_above(min_perf.max(1)) else {
-            continue;
-        };
-        for n_total in start_active..=start_active + options.max_extra_active + options.max_spares {
-            items.extend(
-                enumerate_tier_candidates(
-                    ctx.infrastructure(),
-                    tier.name(),
-                    option,
-                    n_total,
-                    start_active,
-                    options,
-                )
-                .into_iter()
-                .map(|td| (option, td)),
-            );
-        }
+    Sweep {
+        ctx,
+        tier: tier_name,
+        options,
+        levels: Levels::Load(load),
+        evaluator: Evaluator::Downtime(load),
+        policy: Policy::Pareto,
     }
-    health.enumeration_time = started.elapsed();
-
-    let solving = Instant::now();
-    let abort = AtomicBool::new(false);
-    let mut sessions: Vec<EvalSession> = (0..jobs.max(1))
-        .map(|_| EvalSession::new().with_budget(budget.clone()))
-        .collect();
-    let outcomes = parallel_map_with(jobs, &mut sessions, &items, |session, _, (option, td)| {
-        if abort.load(Ordering::Relaxed) || options.stop_requested(deadline) {
-            return SweepOutcome::Skipped;
-        }
-        if let Some(replay) = &options.resume {
-            if let Some(entry) = replay.lookup(&enterprise_key(tier_name, load, td)) {
-                let result = entry.clone().into_result(td);
-                flag_fatal(&result, options.strict, &abort);
-                return SweepOutcome::Replayed(result);
-            }
-        }
-        let mut cold = EvalSession::new().with_budget(budget.clone());
-        let session = if options.warm_start {
-            session
-        } else {
-            &mut cold
-        };
-        let result = evaluate_enterprise_design_in(ctx, option, td, load, session);
-        flag_fatal(&result, options.strict, &abort);
-        SweepOutcome::Evaluated(result)
-    });
-    for session in &sessions {
-        health.absorb_session(session.stats());
-    }
-    health.solve_time = solving.elapsed();
-
-    let merging = Instant::now();
-    let mut all: Vec<EvaluatedDesign> = Vec::new();
-    for ((_, td), outcome) in items.iter().zip(outcomes) {
-        let (result, replayed) = match outcome {
-            SweepOutcome::Skipped => continue,
-            SweepOutcome::Replayed(r) => (r, true),
-            SweepOutcome::Evaluated(r) => (r, false),
-        };
-        if matches!(&result, Err(e) if e.is_cancellation()) {
-            continue;
-        }
-        if replayed {
-            health.journal_replayed += 1;
-        }
-        if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-            health.budget_exhausted += 1;
-        }
-        if let Some(journal) = &options.journal {
-            journal.record(&enterprise_key(tier_name, load, td), &result);
-        }
-        if let Some(e) = isolate_candidate(result, options.strict, &mut health, td)? {
-            all.push(e);
-        }
-    }
-    if options.stop_requested(deadline) {
-        health.interrupted = true;
-    }
-    let frontier = pareto_by(all, |e| e.annual_downtime());
-    health.merge_time = merging.elapsed();
-    health.wall_time = started.elapsed();
-    Ok((frontier, health))
+    .run()
 }
 
 /// Computes the cost/completion-time Pareto frontier of a finite-job tier
@@ -204,130 +72,25 @@ pub fn job_frontier(
     totals: &[u32],
     options: &SearchOptions,
 ) -> Result<Vec<EvaluatedDesign>, SearchError> {
-    job_frontier_with_health(ctx, tier_name, totals, options).map(|(f, _)| f)
-}
-
-/// Like [`job_frontier`], additionally reporting the sweep's
-/// [`SearchHealth`].
-///
-/// # Errors
-///
-/// Returns [`SearchError`] for unknown tiers, missing job size, or
-/// evaluation failures in strict mode.
-pub fn job_frontier_with_health(
-    ctx: &EvalContext<'_>,
-    tier_name: &str,
-    totals: &[u32],
-    options: &SearchOptions,
-) -> Result<(Vec<EvaluatedDesign>, SearchHealth), SearchError> {
-    let started = Instant::now();
-    let tier = ctx.tier(tier_name)?;
-    let deadline = options.deadline_from(started);
-    let budget = options.eval_budget(deadline);
-    let jobs = effective_jobs(options.jobs);
-    let mut health = SearchHealth {
-        jobs,
-        ..SearchHealth::default()
-    };
-
-    let mut items: Vec<(&aved_model::ResourceOption, aved_model::TierDesign)> = Vec::new();
-    for option in tier.options() {
-        for &n_total in totals {
-            if n_total == 0 {
-                continue;
-            }
-            items.extend(
-                enumerate_tier_candidates(
-                    ctx.infrastructure(),
-                    tier.name(),
-                    option,
-                    n_total,
-                    1,
-                    options,
-                )
-                .into_iter()
-                .map(|td| (option, td)),
-            );
-        }
+    Sweep {
+        ctx,
+        tier: tier_name,
+        options,
+        levels: Levels::Grid(totals),
+        evaluator: Evaluator::JobTime,
+        policy: Policy::Pareto,
     }
-    health.enumeration_time = started.elapsed();
-
-    let solving = Instant::now();
-    let abort = AtomicBool::new(false);
-    let mut sessions: Vec<EvalSession> = (0..jobs.max(1))
-        .map(|_| EvalSession::new().with_budget(budget.clone()))
-        .collect();
-    let outcomes = parallel_map_with(jobs, &mut sessions, &items, |session, _, (option, td)| {
-        if abort.load(Ordering::Relaxed) || options.stop_requested(deadline) {
-            return SweepOutcome::Skipped;
-        }
-        if let Some(replay) = &options.resume {
-            if let Some(entry) = replay.lookup(&job_key(tier_name, td)) {
-                let result = entry.clone().into_result(td);
-                flag_fatal(&result, options.strict, &abort);
-                return SweepOutcome::Replayed(result);
-            }
-        }
-        let mut cold = EvalSession::new().with_budget(budget.clone());
-        let session = if options.warm_start {
-            session
-        } else {
-            &mut cold
-        };
-        let result = evaluate_job_design_in(ctx, option, td, session);
-        flag_fatal(&result, options.strict, &abort);
-        SweepOutcome::Evaluated(result)
-    });
-    for session in &sessions {
-        health.absorb_session(session.stats());
-    }
-    health.solve_time = solving.elapsed();
-
-    let merging = Instant::now();
-    let mut all: Vec<EvaluatedDesign> = Vec::new();
-    for ((_, td), outcome) in items.iter().zip(outcomes) {
-        let (result, replayed) = match outcome {
-            SweepOutcome::Skipped => continue,
-            SweepOutcome::Replayed(r) => (r, true),
-            SweepOutcome::Evaluated(r) => (r, false),
-        };
-        if matches!(&result, Err(e) if e.is_cancellation()) {
-            continue;
-        }
-        if replayed {
-            health.journal_replayed += 1;
-        }
-        if matches!(&result, Err(e) if e.is_budget_exhaustion()) {
-            health.budget_exhausted += 1;
-        }
-        if let Some(journal) = &options.journal {
-            journal.record(&job_key(tier_name, td), &result);
-        }
-        if let Some(e) = isolate_candidate(result, options.strict, &mut health, td)? {
-            all.push(e);
-        }
-    }
-    if options.stop_requested(deadline) {
-        health.interrupted = true;
-    }
-    // Job evaluations always carry a completion time; should one ever
-    // not, ranking it last keeps it off the frontier.
-    let frontier = pareto_by(all, |e| {
-        e.expected_job_time()
-            .unwrap_or(Duration::from_secs(f64::INFINITY))
-    });
-    health.merge_time = merging.elapsed();
-    health.wall_time = started.elapsed();
-    Ok((frontier, health))
+    .run()
+    .map(|(f, _)| f)
 }
 
 /// Keeps the Pareto-optimal designs under (cost, quality) where smaller is
 /// better for both, sorted by increasing cost. Ties in quality keep the
 /// cheaper design; ties in cost keep the better quality.
-fn pareto_by<F>(mut all: Vec<EvaluatedDesign>, quality: F) -> Vec<EvaluatedDesign>
-where
-    F: Fn(&EvaluatedDesign) -> Duration,
-{
+pub(crate) fn pareto_by(
+    mut all: Vec<EvaluatedDesign>,
+    quality: impl Fn(&EvaluatedDesign) -> Duration,
+) -> Vec<EvaluatedDesign> {
     // The evaluation layer guarantees finite metrics (NaN/∞ results become
     // errors and the candidate is skipped); this is the last line of
     // defense in front of the ordering.

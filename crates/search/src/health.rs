@@ -46,7 +46,7 @@ impl SkippedCandidate {
 /// pruned by cost dominance, and per-phase wall-clock time.
 ///
 /// Equality ignores the timing and workload fields (`wall_time`, the phase
-/// times, `jobs`, cache and pruning counters): two runs that made the same
+/// times, `jobs`, cache, evaluation and pruning counters): two runs that made the same
 /// decisions are equal even though timing — and, under parallel pruning,
 /// the exact amount of work avoided — is never reproducible.
 #[derive(Debug, Clone, Default)]
@@ -60,6 +60,10 @@ pub struct SearchHealth {
     pub worst_residual: Option<f64>,
     /// Wall-clock time the search took.
     pub wall_time: std::time::Duration,
+    /// Candidates evaluated into a design, live or replayed from a resume
+    /// journal (skipped failures and designs that cannot meet the load are
+    /// not counted). Pruning lowers it, by a scheduling-dependent amount.
+    pub candidates_evaluated: u64,
     /// Candidates skipped without evaluation because they already cost more
     /// than a known-feasible design. Varies with scheduling under parallel
     /// runs; the selected design does not.
@@ -70,8 +74,8 @@ pub struct SearchHealth {
     /// Model-cache misses (inner engine evaluations), when reported.
     pub cache_misses: u64,
     /// Worker threads the search actually used (after resolving `jobs = 0`
-    /// to the machine's parallelism). Zero when the entry point predates
-    /// the parallel executor.
+    /// to the machine's parallelism). Every search sets it; zero only in a
+    /// report no search produced.
     pub jobs: usize,
     /// Wall-clock time spent enumerating candidates.
     pub enumeration_time: std::time::Duration,
@@ -148,6 +152,7 @@ impl SearchHealth {
             (a, b) => a.or(b),
         };
         self.wall_time += other.wall_time;
+        self.candidates_evaluated += other.candidates_evaluated;
         self.candidates_pruned += other.candidates_pruned;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -174,11 +179,6 @@ impl SearchHealth {
         self.solver_iterations += stats.iterations;
         self.iterations_saved += stats.iterations_saved;
     }
-
-    /// Records a candidate skipped because `error` occurred.
-    pub(crate) fn record_skip(&mut self, td: &TierDesign, error: &SearchError) {
-        self.skipped.push(SkippedCandidate::from_failure(td, error));
-    }
 }
 
 impl std::fmt::Display for SearchHealth {
@@ -191,6 +191,9 @@ impl std::fmt::Display for SearchHealth {
         )?;
         if let Some(r) = self.worst_residual {
             write!(f, ", worst residual {r:.2e}")?;
+        }
+        if self.candidates_evaluated > 0 {
+            write!(f, ", {} evaluated", self.candidates_evaluated)?;
         }
         if self.candidates_pruned > 0 {
             write!(f, ", {} pruned by cost", self.candidates_pruned)?;
@@ -225,7 +228,13 @@ impl std::fmt::Display for SearchHealth {
         if self.interrupted {
             write!(f, ", interrupted (best-so-far)")?;
         }
-        write!(f, ", {:.1} ms", self.wall_time.as_secs_f64() * 1e3)
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let (wall, enumerate) = (ms(self.wall_time), ms(self.enumeration_time));
+        let (solve, merge) = (ms(self.solve_time), ms(self.merge_time));
+        write!(
+            f,
+            ", {wall:.1} ms (enumerate {enumerate:.1} + solve {solve:.1} + merge {merge:.1})"
+        )
     }
 }
 
@@ -247,12 +256,11 @@ pub(crate) fn isolate_candidate(
             health.absorb_eval(e.eval_health());
             Ok(Some(e))
         }
-        Ok(None) => Ok(None),
         Err(e) if !strict && e.is_candidate_scoped() => {
-            health.record_skip(td, &e);
+            health.skipped.push(SkippedCandidate::from_failure(td, &e));
             Ok(None)
         }
-        Err(e) => Err(e),
+        other => other,
     }
 }
 
@@ -303,6 +311,7 @@ mod tests {
             fallbacks_taken: 1,
             worst_residual: Some(1e-12),
             wall_time: ms(5),
+            candidates_evaluated: 30,
             candidates_pruned: 10,
             cache_hits: 100,
             cache_misses: 4,
@@ -324,6 +333,7 @@ mod tests {
             fallbacks_taken: 3,
             worst_residual: Some(1e-10),
             wall_time: ms(7),
+            candidates_evaluated: 12,
             candidates_pruned: 5,
             cache_hits: 50,
             cache_misses: 6,
@@ -345,6 +355,7 @@ mod tests {
         assert_eq!(a.fallbacks_taken, 4);
         assert_eq!(a.worst_residual, Some(1e-10));
         assert_eq!(a.wall_time, ms(12));
+        assert_eq!(a.candidates_evaluated, 42);
         assert_eq!(a.candidates_pruned, 15);
         assert_eq!(a.cache_hits, 150);
         assert_eq!(a.cache_misses, 10);
@@ -396,6 +407,7 @@ mod tests {
             fallbacks_taken: 2,
             worst_residual: Some(1.5e-11),
             wall_time: std::time::Duration::from_millis(3),
+            candidates_evaluated: 40,
             candidates_pruned: 7,
             cache_hits: 9,
             cache_misses: 3,
@@ -413,6 +425,7 @@ mod tests {
         assert!(s.contains("1 candidate(s) skipped"), "{s}");
         assert!(s.contains("2 solver fallback(s)"), "{s}");
         assert!(s.contains("1.50e-11"), "{s}");
+        assert!(s.contains("40 evaluated"), "{s}");
         assert!(s.contains("7 pruned by cost"), "{s}");
         assert!(s.contains("cache 9/12 hit"), "{s}");
         assert!(s.contains("4 job(s)"), "{s}");
@@ -422,6 +435,10 @@ mod tests {
         assert!(s.contains("3 budget-exhausted"), "{s}");
         assert!(s.contains("6 replayed from journal"), "{s}");
         assert!(s.contains("interrupted (best-so-far)"), "{s}");
+        assert!(
+            s.ends_with("3.0 ms (enumerate 0.0 + solve 0.0 + merge 0.0)"),
+            "{s}"
+        );
     }
 
     #[test]
@@ -444,6 +461,7 @@ mod tests {
         };
         let b = SearchHealth {
             wall_time: std::time::Duration::from_millis(99),
+            candidates_evaluated: 17,
             candidates_pruned: 42,
             cache_hits: 7,
             cache_misses: 9,

@@ -1,57 +1,41 @@
-//! Design-space search (paper §4).
-//!
-//! Given an infrastructure model, a service model, a performance catalog
-//! and an availability engine, this crate enumerates and evaluates designs
-//! to find the minimum-cost design meeting the service requirements:
+//! Design-space search (paper §4): the minimum-cost design meeting a
+//! service's requirements, given infrastructure and service models, a
+//! performance catalog and an availability engine.
 //!
 //! * [`EvalContext`] bundles the models and the pluggable engine;
 //! * [`enumerate_tier_candidates`] produces every resolved tier design for
-//!   a given resource count, covering active/spare splits, spare
-//!   operational modes and all availability-mechanism parameter settings;
+//!   a resource count: active/spare splits, spare modes and mechanism
+//!   settings;
 //! * [`evaluate_enterprise_design`] / [`evaluate_job_design`] attach cost,
 //!   availability and (for finite jobs) expected completion time;
-//! * [`search_tier`] implements the paper's §4.1 algorithm for one tier —
-//!   grow the resource count from the performance minimum, try all
-//!   combinations at each size, prune by cost once a feasible design is
-//!   known, stop when every remaining design necessarily costs more;
-//! * [`search_job_tier`] is the finite-job analogue driven by expected
-//!   execution time;
-//! * [`tier_pareto_frontier`] and [`job_frontier`] compute the full
-//!   cost/quality tradeoff curves behind the paper's Figs. 6–8;
-//! * [`search_service`] composes per-tier frontiers into a minimum-cost
-//!   multi-tier design by greedy marginal-cost refinement.
+//! * [`search_tier`] / [`search_job_tier`] find one tier's minimum-cost
+//!   design by the §4.1 algorithm — grow the resource count from the
+//!   performance minimum, prune by cost once a feasible design is known,
+//!   stop when every remaining design necessarily costs more;
+//! * [`tier_pareto_frontier`] / [`job_frontier`] compute the cost/quality
+//!   tradeoff curves behind Figs. 6–8;
+//! * [`search_service`] composes per-tier frontiers into a multi-tier
+//!   design.
 //!
-//! Searches are resilient by default: an engine failure or non-finite
-//! metric on one candidate skips that candidate rather than aborting the
-//! run ([`SearchOptions::strict`] restores fail-fast), and every entry
-//! point reports a [`SearchHealth`] saying how degraded the run was —
-//! candidates skipped, solver fallbacks taken, worst accepted residual.
+//! The four tier entry points are thin wrappers over one sweep kernel —
+//! an enumerator of resource-count levels, an evaluator (downtime or job
+//! time) and a selection policy (min-cost feasible, or Pareto) — so every
+//! sweep is alike:
 //!
-//! Searches are also parallel: candidate evaluations fan out across scoped
-//! threads ([`SearchOptions::with_jobs`], `0` = auto-detect, requests
-//! clamped to the machine's parallelism), sharing one [`CachingEngine`]
-//! and a dominance-pruning best-cost cell, with results merged in
-//! candidate order so the selected design is bit-identical to the serial
-//! walk at any worker count (see the [`parallel`](parallel_map) module
-//! docs for the argument).
-//!
-//! Searches are governed: a [`SolveBudget`](aved_avail::SolveBudget)
-//! derived from [`SearchOptions`] bounds each candidate's evaluation
-//! (wall-clock timeout, explored-state cap), a whole-search deadline or a
-//! [`CancelToken`](aved_avail::CancelToken) stops the sweep cleanly at the
-//! next candidate boundary with its best-so-far result, and a
-//! [`SweepJournal`] checkpoints every candidate outcome so an interrupted
-//! sweep resumes ([`SearchOptions::with_resume`]) and provably selects the
-//! same winner, bit-for-bit.
-//!
-//! Searches are warm-started by default: candidate batches stay in
-//! enumeration order — parameter-locality order, where neighbors differ in
-//! one knob — and are sharded contiguously across workers, each carrying an
-//! [`aved_avail::EvalSession`] that reuses chain structure (rate-only
-//! in-place rebuilds) and the previous steady-state vector between
-//! neighboring solves. The selected designs are bit-identical with warm
-//! starts on or off ([`SearchOptions::without_warm_start`] disables them);
-//! [`SearchHealth`] reports the hit rates and iterations saved.
+//! * *resilient* — a failing candidate is skipped and recorded, not fatal
+//!   ([`SearchOptions::strict`] restores fail-fast), and every run reports
+//!   a [`SearchHealth`];
+//! * *parallel and warm-started* — batches keep enumeration (parameter
+//!   locality) order, shard contiguously across [`SearchOptions::with_jobs`]
+//!   workers, each reusing an [`aved_avail::EvalSession`], and fold back in
+//!   candidate order: the selection is bit-identical at any worker count,
+//!   warm or cold (see [`parallel`](parallel_map));
+//! * *governed and resumable* — a [`SolveBudget`](aved_avail::SolveBudget)
+//!   bounds each candidate, a deadline or a
+//!   [`CancelToken`](aved_avail::CancelToken) stops the sweep with its
+//!   best-so-far result, and a [`SweepJournal`] lets
+//!   [`SearchOptions::with_resume`] replay an interrupted sweep to the same
+//!   selection, bit for bit.
 
 mod cache;
 mod candidate;
@@ -64,6 +48,7 @@ mod journal;
 mod multi_tier;
 mod parallel;
 mod sensitivity;
+mod sweep;
 #[cfg(test)]
 mod test_fixtures;
 mod tier_search;
@@ -76,12 +61,10 @@ pub use evaluate::{
     evaluate_enterprise_design, evaluate_enterprise_design_in, evaluate_job_design,
     evaluate_job_design_in, EvaluatedDesign,
 };
-pub use frontier::{
-    job_frontier, job_frontier_with_health, tier_pareto_frontier, tier_pareto_frontier_with_health,
-};
+pub use frontier::{job_frontier, tier_pareto_frontier, tier_pareto_frontier_with_health};
 pub use health::{SearchHealth, SkippedCandidate};
 pub use journal::{enterprise_key, job_key, JournalReplay, ReplayEntry, SweepJournal};
 pub use multi_tier::{search_service, search_service_with_health, ServiceDesign};
 pub use parallel::{effective_jobs, parallel_map, parallel_map_with};
 pub use sensitivity::{mtbf_sensitivity, scale_mtbfs, SensitivityRow};
-pub use tier_search::{search_job_tier, search_tier, SearchOutcome, SearchStats};
+pub use tier_search::{search_job_tier, search_tier, SearchOutcome};
