@@ -1,7 +1,8 @@
 //! Deriving a [`TierModel`] from design-space model types (paper §4.2).
 
 use aved_model::{
-    DurationSpec, FailureScope, Infrastructure, ModelError, OperationalMode, Sizing, TierDesign,
+    DurationSpec, FailureScope, Infrastructure, ModelError, OperationalMode, ResourceType,
+    Settings, Sizing, TierDesign,
 };
 use aved_units::Duration;
 
@@ -155,9 +156,11 @@ pub fn derive_tier_model(
     Ok(model)
 }
 
-/// The loss window of a tier design, if its resource's application software
-/// declares one (paper §3.1.1): a fixed duration, or the value produced by
-/// the referenced mechanism (e.g. the selected checkpoint interval).
+/// The loss window of a `resource` under mechanism `settings`, if its
+/// application software declares one (paper §3.1.1): a fixed duration, or
+/// the value produced by the referenced mechanism (e.g. the selected
+/// checkpoint interval). `settings` is usually a [`TierDesign`]; the
+/// staged search passes a bare settings combination instead.
 ///
 /// Returns `Ok(None)` when no component of the resource declares a loss
 /// window.
@@ -168,14 +171,9 @@ pub fn derive_tier_model(
 /// settings.
 pub fn loss_window(
     infrastructure: &Infrastructure,
-    td: &TierDesign,
+    resource: &ResourceType,
+    settings: &impl Settings,
 ) -> Result<Option<Duration>, AvailError> {
-    let resource = infrastructure
-        .resource(td.resource().as_str())
-        .ok_or_else(|| ModelError::UnknownResource {
-            tier: td.tier().to_string(),
-            resource: td.resource().to_string(),
-        })?;
     for slot in resource.components() {
         let component = infrastructure
             .component(slot.component().as_str())
@@ -193,11 +191,11 @@ pub fn loss_window(
                         context: format!("component {} loss window", component.name()),
                         mechanism: mech_name.to_string(),
                     })?;
-                let lw = mech
-                    .resolve_loss_window(td)?
-                    .ok_or_else(|| AvailError::InvalidModel {
+                let lw = mech.resolve_loss_window(settings)?.ok_or_else(|| {
+                    AvailError::InvalidModel {
                         detail: format!("mechanism {mech_name} declares no loss_window effect"),
-                    })?;
+                    }
+                })?;
                 return Ok(Some(lw));
             }
         }
@@ -468,19 +466,22 @@ mod tests {
             "checkpoint_interval",
             ParamValue::Duration(Duration::from_mins(30.0)),
         );
+        let rh = infra.resource("rH").unwrap();
         assert_eq!(
-            loss_window(&infra, &td).unwrap(),
+            loss_window(&infra, rh, &td).unwrap(),
             Some(Duration::from_mins(30.0))
         );
         // Missing setting is an error, not None.
         let bare = TierDesign::new("computation", "rH", 4, 0);
-        assert!(loss_window(&infra, &bare).is_err());
+        assert!(loss_window(&infra, rh, &bare).is_err());
     }
 
     #[test]
     fn no_loss_window_is_none() {
+        let infra = infra();
+        let rc = infra.resource("rC").unwrap();
         assert_eq!(
-            loss_window(&infra(), &design("bronze", 1, 0)).unwrap(),
+            loss_window(&infra, rc, &design("bronze", 1, 0)).unwrap(),
             None
         );
     }

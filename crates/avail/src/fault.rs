@@ -1,13 +1,12 @@
 //! Deterministic fault injection for resilience testing.
 //!
-//! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] (mirroring the
-//! search crate's `CachingEngine` decorator) and injects failures into
-//! chosen evaluations: solver non-convergence errors, NaN availability
-//! results, and artificial delays. Faults are selected **deterministically**
-//! — by the 0-based index of the `evaluate` call (which, in an uncached
-//! serial search, is the candidate index), by a structural predicate on the
-//! model being evaluated, or by a seeded pseudo-random schedule — so a
-//! failing search reproduces exactly.
+//! [`FaultInjectingEngine`] wraps any [`AvailabilityEngine`] and injects
+//! failures into chosen evaluations: solver non-convergence errors, NaN
+//! availability results, and artificial delays. Faults are selected
+//! **deterministically** — by the 0-based index of the `evaluate` call
+//! (which, in a serial search, counts the availability classes solved so
+//! far), by a structural predicate on the model being evaluated, or by a
+//! seeded pseudo-random schedule — so a failing search reproduces exactly.
 //!
 //! Call-index schedules are only deterministic for serial searches: a
 //! parallel search interleaves calls from several workers, so the call at

@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use aved::avail::DecompositionEngine;
 use aved::scenario;
-use aved::search::{search_tier, tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_tier, tier_pareto_frontier, EvalContext, SearchOptions};
 use aved::units::Duration;
 
 fn bench_pruning(c: &mut Criterion) {
@@ -21,8 +21,7 @@ fn bench_pruning(c: &mut Criterion) {
 
     // Print the work counters once.
     {
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
         let out = search_tier(&ctx, "application", load, budget, &options).unwrap();
         let health = out.health();
@@ -39,8 +38,7 @@ fn bench_pruning(c: &mut Criterion) {
 
     group.bench_function("pruned_search", |b| {
         b.iter(|| {
-            let inner = DecompositionEngine::default();
-            let engine = CachingEngine::new(&inner);
+            let engine = DecompositionEngine::default();
             let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
             let out = search_tier(&ctx, "application", black_box(load), budget, &options).unwrap();
             black_box(out.best().map(|e| e.cost()));
@@ -49,8 +47,7 @@ fn bench_pruning(c: &mut Criterion) {
 
     group.bench_function("exhaustive_frontier", |b| {
         b.iter(|| {
-            let inner = DecompositionEngine::default();
-            let engine = CachingEngine::new(&inner);
+            let engine = DecompositionEngine::default();
             let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
             let frontier =
                 tier_pareto_frontier(&ctx, "application", black_box(load), &options).unwrap();

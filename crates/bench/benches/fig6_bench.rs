@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use aved::avail::DecompositionEngine;
 use aved::scenario;
-use aved::search::{search_tier, tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_tier, tier_pareto_frontier, EvalContext, SearchOptions};
 use aved::units::Duration;
 
 fn bench_fig6(c: &mut Criterion) {
@@ -23,9 +23,7 @@ fn bench_fig6(c: &mut Criterion) {
 
     group.bench_function("point_load1000_budget100m", |b| {
         b.iter(|| {
-            // A fresh cache each iteration: measure the uncached search.
-            let inner = DecompositionEngine::default();
-            let engine = CachingEngine::new(&inner);
+            let engine = DecompositionEngine::default();
             let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
             let out = search_tier(
                 &ctx,
@@ -41,8 +39,7 @@ fn bench_fig6(c: &mut Criterion) {
 
     group.bench_function("frontier_load1000", |b| {
         b.iter(|| {
-            let inner = DecompositionEngine::default();
-            let engine = CachingEngine::new(&inner);
+            let engine = DecompositionEngine::default();
             let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
             let frontier =
                 tier_pareto_frontier(&ctx, "application", black_box(1000.0), &options).unwrap();

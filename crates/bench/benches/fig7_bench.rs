@@ -8,7 +8,7 @@ use std::hint::black_box;
 use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
-use aved::search::{search_job_tier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_job_tier, EvalContext, SearchOptions};
 use aved::units::Duration;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -28,8 +28,7 @@ fn bench_fig7(c: &mut Criterion) {
     for req_hours in [50.0, 200.0] {
         group.bench_function(format!("point_req{req_hours}h"), |b| {
             b.iter(|| {
-                let inner = DecompositionEngine::default();
-                let engine = CachingEngine::new(&inner);
+                let engine = DecompositionEngine::default();
                 let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
                 let out = search_job_tier(
                     &ctx,

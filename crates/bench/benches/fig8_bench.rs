@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use aved::avail::DecompositionEngine;
 use aved::scenario;
-use aved::search::{tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{tier_pareto_frontier, EvalContext, SearchOptions};
 use aved_bench::geometric_grid;
 
 fn bench_fig8(c: &mut Criterion) {
@@ -23,8 +23,7 @@ fn bench_fig8(c: &mut Criterion) {
     for load in [400.0, 1600.0] {
         group.bench_function(format!("curve_load{load}"), |b| {
             b.iter(|| {
-                let inner = DecompositionEngine::default();
-                let engine = CachingEngine::new(&inner);
+                let engine = DecompositionEngine::default();
                 let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
                 let frontier =
                     tier_pareto_frontier(&ctx, "application", black_box(load), &options).unwrap();

@@ -16,7 +16,7 @@ use std::time::{Duration as StdDuration, Instant};
 use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
-use aved::search::{job_frontier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{job_frontier, EvalContext, SearchOptions};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const TOTALS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -37,8 +37,7 @@ fn run_sweep(jobs: usize) -> usize {
     let infrastructure = scenario::infrastructure().unwrap();
     let service = scenario::scientific().unwrap();
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let frontier = job_frontier(&ctx, "computation", &TOTALS, &options().with_jobs(jobs)).unwrap();
     frontier.len()

@@ -456,9 +456,9 @@ fn parse_search_options(flags: &Flags<'_>) -> Result<SearchOptions, CliError> {
     Ok(options)
 }
 
-/// One-line workload summary on stderr: worker count, evaluations, cache
-/// traffic, dominance pruning, warm-start effectiveness, journal replays,
-/// per-phase timing. Stderr so pipelines that consume the design on stdout
+/// One-line workload summary on stderr: worker count, evaluations,
+/// availability-class solves, dominance pruning, warm-start effectiveness,
+/// journal replays, per-phase timing. Stderr so pipelines that consume the design on stdout
 /// are unaffected.
 fn report_stats(health: &aved::search::SearchHealth) {
     eprintln!("search: {health}");
@@ -485,7 +485,7 @@ fn parse_pins(flags: &Flags<'_>, options: &mut SearchOptions) -> Result<(), CliE
 /// a designer needs to pick their own point on the tradeoff.
 fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     use aved::avail::DecompositionEngine;
-    use aved::search::{tier_pareto_frontier_with_health, CachingEngine, EvalContext};
+    use aved::search::{tier_pareto_frontier_with_health, EvalContext};
 
     let infrastructure = load_infrastructure(flags)?;
     let service = load_service(flags)?;
@@ -503,13 +503,10 @@ fn sweep(flags: &Flags<'_>) -> Result<(), CliError> {
     let options = parse_search_options(flags)?;
 
     let catalog = aved::scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
-    let (frontier, mut health) = tier_pareto_frontier_with_health(&ctx, tier, load, &options)
+    let (frontier, health) = tier_pareto_frontier_with_health(&ctx, tier, load, &options)
         .map_err(|e| CliError::engine(&e))?;
-    health.cache_hits = engine.hits();
-    health.cache_misses = engine.misses();
     report_health(&health);
     report_stats(&health);
     if frontier.is_empty() {

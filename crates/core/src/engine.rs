@@ -4,8 +4,8 @@ use aved_avail::{AvailabilityEngine, DecompositionEngine};
 use aved_model::{Design, Infrastructure, Service, ServiceRequirement};
 use aved_perf::Catalog;
 use aved_search::{
-    search_job_tier, search_service_with_health, CachingEngine, EvalContext, SearchError,
-    SearchHealth, SearchOptions,
+    search_job_tier, search_service_with_health, EvalContext, SearchError, SearchHealth,
+    SearchOptions,
 };
 use aved_units::{Duration, Money};
 
@@ -46,9 +46,9 @@ impl DesignReport {
 
     /// How degraded the search behind this report was (candidates skipped
     /// after engine failures, solver fallbacks taken, the worst accepted
-    /// residual) and how the work got done (worker threads, model-cache
-    /// hits and misses, candidates pruned by cost dominance, per-phase
-    /// wall time). A clean run has [`SearchHealth::is_degraded`] false.
+    /// residual) and how the work got done (worker threads, availability
+    /// classes solved and the candidates they served, candidates pruned by
+    /// cost dominance, per-phase wall time). A clean run has [`SearchHealth::is_degraded`] false.
     #[must_use]
     pub fn health(&self) -> &SearchHealth {
         &self.health
@@ -173,21 +173,23 @@ impl Aved {
         service: &Service,
         requirement: &ServiceRequirement,
     ) -> Result<(Option<DesignReport>, SearchHealth), SearchError> {
-        let caching = CachingEngine::new(self.engine.as_ref());
-        let ctx = EvalContext::new(&self.infrastructure, service, &self.catalog, &caching);
+        let ctx = EvalContext::new(
+            &self.infrastructure,
+            service,
+            &self.catalog,
+            self.engine.as_ref(),
+        );
         match requirement {
             ServiceRequirement::Enterprise {
                 min_throughput,
                 max_annual_downtime,
             } => {
-                let (found, mut health) = search_service_with_health(
+                let (found, health) = search_service_with_health(
                     &ctx,
                     *min_throughput,
                     *max_annual_downtime,
                     &self.options,
                 )?;
-                health.cache_hits = caching.hits();
-                health.cache_misses = caching.misses();
                 let report = found.map(|sd| DesignReport {
                     design: sd.to_design(),
                     cost: sd.cost(),
@@ -214,9 +216,7 @@ impl Aved {
                 let tier_name = service.tiers()[0].name().as_str().to_owned();
                 let outcome =
                     search_job_tier(&ctx, &tier_name, *max_execution_time, &self.options)?;
-                let mut health = outcome.health().clone();
-                health.cache_hits = caching.hits();
-                health.cache_misses = caching.misses();
+                let health = outcome.health().clone();
                 let report = outcome.best().map(|best| DesignReport {
                     design: Design::new(vec![best.design().clone()]),
                     cost: best.cost(),
@@ -274,7 +274,7 @@ mod tests {
         );
         assert!(
             report.health().cache_misses > 0,
-            "the model cache must see the search's evaluations"
+            "the health report must count the search's class solves"
         );
         assert_eq!(report.health().jobs, 1, "default options are serial");
     }

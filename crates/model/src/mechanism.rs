@@ -333,6 +333,20 @@ impl Mechanism {
         self.loss_window.as_ref()
     }
 
+    /// Whether `param` feeds this mechanism's MTBF, MTTR or cost — the
+    /// attributes a tier's availability model and price are built from. A
+    /// parameter feeding none of them (a checkpoint interval, which only
+    /// sets the loss window) leaves both unchanged.
+    #[must_use]
+    pub fn drives_availability_or_cost(&self, param: &str) -> bool {
+        let names = |effect: &EffectValue| match effect {
+            EffectValue::Table { param: p, .. } | EffectValue::Param(p) => p.as_str() == param,
+        };
+        self.mtbf.as_ref().is_some_and(names)
+            || self.mttr.as_ref().is_some_and(names)
+            || matches!(&self.cost, MechanismCost::Table { param: p, .. } if p.as_str() == param)
+    }
+
     /// Resolves the mechanism's annual cost (per covered instance for
     /// per-level tables) under the given parameter settings.
     ///
@@ -618,6 +632,33 @@ mod tests {
         assert!(geo.contains(&ParamValue::Duration(Duration::from_mins(7.0))));
         assert!(!geo.contains(&ParamValue::Duration(Duration::from_secs(10.0))));
         assert!(!geo.contains(&ParamValue::Level("a".into())));
+    }
+
+    #[test]
+    fn only_mtbf_mttr_and_cost_parameters_drive_availability_or_cost() {
+        let m = maintenance();
+        assert!(m.drives_availability_or_cost("level"));
+        assert!(!m.drives_availability_or_cost("ghost"));
+
+        let checkpoint = Mechanism::new("checkpoint")
+            .with_param(Parameter::new(
+                "storage_location",
+                ParamRange::Levels(vec!["central".into(), "peer".into()]),
+            ))
+            .with_loss_window_effect(EffectValue::Param("checkpoint_interval".into()));
+        assert!(!checkpoint.drives_availability_or_cost("checkpoint_interval"));
+        assert!(!checkpoint.drives_availability_or_cost("storage_location"));
+        let priced = checkpoint.with_cost_table(
+            "storage_location",
+            vec![Money::ZERO, Money::from_dollars(500.0)],
+        );
+        assert!(priced.drives_availability_or_cost("storage_location"));
+
+        let rejuvenation = Mechanism::new("rejuvenation")
+            .with_mtbf_effect(EffectValue::Param("interval".into()))
+            .with_mttr_effect(EffectValue::Param("response".into()));
+        assert!(rejuvenation.drives_availability_or_cost("interval"));
+        assert!(rejuvenation.drives_availability_or_cost("response"));
     }
 
     #[test]

@@ -5,7 +5,8 @@ use std::time::Instant;
 
 use aved_avail::{CancelToken, SolveBudget};
 use aved_model::{
-    Infrastructure, MechanismName, ParamValue, ResourceOption, SpareMode, TierDesign, TierName,
+    Infrastructure, MechanismName, ParamName, ParamValue, ResourceOption, Settings, SpareMode,
+    TierDesign, TierName,
 };
 
 use crate::journal::{JournalReplay, SweepJournal};
@@ -50,27 +51,29 @@ pub struct SearchOptions {
     /// default; the selected design is bit-identical either way — disable
     /// only to measure the speedup or to force fully independent solves.
     pub warm_start: bool,
-    /// Per-candidate wall-clock allowance: each candidate's availability
-    /// evaluation (exploration + every solver attempt) must finish within
-    /// this much time or it is abandoned with a budget-exhaustion
-    /// diagnostic. The clock restarts for every candidate. `None` (the
-    /// default) means no per-candidate limit.
+    /// Per-candidate wall-clock allowance: each availability evaluation
+    /// (exploration + every solver attempt), which serves every candidate
+    /// of one availability class, must finish within this much time or it
+    /// is abandoned with a budget-exhaustion diagnostic for each of them.
+    /// The clock restarts for every evaluation. `None` (the default) means
+    /// no per-candidate limit.
     pub candidate_timeout: Option<std::time::Duration>,
-    /// Largest Markov state space any single candidate may explore before
-    /// its evaluation is abandoned as budget-exhausted. Guards against
+    /// Largest Markov state space any single availability evaluation may
+    /// explore before it is abandoned as budget-exhausted. Guards against
     /// state-space explosion from adversarial or mis-specified models.
     /// `None` (the default) applies only the engine's built-in truncation
     /// bound.
     pub max_states: Option<usize>,
     /// Whole-search wall-clock deadline, measured from the moment the
     /// search starts. When it passes, the search stops at the next
-    /// candidate boundary and returns its best-so-far result with
+    /// availability-class boundary and returns its best-so-far result with
     /// `SearchHealth::interrupted` set. `None` (the default) means the
     /// search runs to completion.
     pub search_deadline: Option<std::time::Duration>,
-    /// Cooperative cancellation token, checked at candidate boundaries and
-    /// inside long solver loops. Firing it (e.g. from a signal handler)
-    /// stops the search cleanly with its best-so-far result.
+    /// Cooperative cancellation token, checked at availability-class
+    /// boundaries and inside long solver loops. Firing it (e.g. from a
+    /// signal handler) stops the search cleanly with its best-so-far
+    /// result.
     pub cancel: Option<CancelToken>,
     /// Evaluation journal: every candidate outcome is appended as it
     /// merges, so a killed or cancelled sweep can be resumed with
@@ -250,7 +253,7 @@ impl SearchOptions {
         budget
     }
 
-    /// `true` once the search should stop at the next candidate boundary:
+    /// `true` once the search should stop at the next class boundary:
     /// the cancellation token fired or the whole-search deadline passed.
     /// Monotone — once true it stays true — so one post-batch check
     /// suffices to convert worker-observed interruptions into a clean
@@ -289,6 +292,65 @@ pub fn relevant_mechanisms(
     out
 }
 
+/// One mechanism parameter assignment: `(mechanism, parameter, value)`.
+pub(crate) type Setting = (MechanismName, String, ParamValue);
+
+/// One enumerated mechanism parameter: its values (the pin, or its whole
+/// range) and whether it drives the availability model or the cost.
+struct Knob {
+    mechanism: MechanismName,
+    param: String,
+    values: Vec<ParamValue>,
+    availability: bool,
+}
+
+/// The parameters of `mechanisms` in enumeration order (mechanism order,
+/// then declaration order); unknown mechanisms are skipped.
+fn knobs(
+    infrastructure: &Infrastructure,
+    mechanisms: &[MechanismName],
+    pins: &[(MechanismName, String, ParamValue)],
+) -> Vec<Knob> {
+    let mut out = Vec::new();
+    for mech_name in mechanisms {
+        let Some(mech) = infrastructure.mechanism(mech_name.as_str()) else {
+            continue;
+        };
+        for param in mech.params() {
+            let name = param.name().as_str();
+            let pinned = pins
+                .iter()
+                .find(|(m, p, _)| m == mech_name && p == name)
+                .map(|(_, _, v)| v.clone());
+            out.push(Knob {
+                mechanism: mech_name.clone(),
+                param: name.to_owned(),
+                values: pinned.map_or_else(|| param.range().values(), |v| vec![v]),
+                availability: mech.drives_availability_or_cost(name),
+            });
+        }
+    }
+    out
+}
+
+/// The Cartesian product of the knobs' values, the first knob varying
+/// slowest.
+fn cartesian<'k>(knobs: impl IntoIterator<Item = &'k Knob>) -> Vec<Vec<Setting>> {
+    let mut combos: Vec<Vec<Setting>> = vec![Vec::new()];
+    for knob in knobs {
+        let mut next = Vec::with_capacity(combos.len() * knob.values.len());
+        for combo in &combos {
+            for value in &knob.values {
+                let mut extended = combo.clone();
+                extended.push((knob.mechanism.clone(), knob.param.clone(), value.clone()));
+                next.push(extended);
+            }
+        }
+        combos = next;
+    }
+    combos
+}
+
 /// Enumerates every combination of parameter settings across the given
 /// mechanisms (Cartesian product of all parameter ranges).
 ///
@@ -301,36 +363,118 @@ pub fn enumerate_settings(
     mechanisms: &[MechanismName],
     pins: &[(MechanismName, String, ParamValue)],
 ) -> Vec<Vec<(MechanismName, String, ParamValue)>> {
-    let mut combos: Vec<Vec<(MechanismName, String, ParamValue)>> = vec![Vec::new()];
-    for mech_name in mechanisms {
-        let Some(mech) = infrastructure.mechanism(mech_name.as_str()) else {
-            continue;
-        };
-        for param in mech.params() {
-            let pinned = pins
-                .iter()
-                .find(|(m, p, _)| m == mech_name && p == param.name().as_str())
-                .map(|(_, _, v)| v.clone());
-            let values = match pinned {
-                Some(v) => vec![v],
-                None => param.range().values(),
-            };
-            let mut next = Vec::with_capacity(combos.len() * values.len());
-            for combo in &combos {
-                for value in &values {
-                    let mut extended = combo.clone();
-                    extended.push((
-                        mech_name.clone(),
-                        param.name().as_str().to_owned(),
-                        value.clone(),
-                    ));
-                    next.push(extended);
+    cartesian(&knobs(infrastructure, mechanisms, pins))
+}
+
+/// One option's mechanism settings, split for staged evaluation.
+///
+/// The parameters that feed an MTBF, MTTR or cost effect form the
+/// availability `classes`; the rest (today the checkpoint interval and
+/// storage location) form the performance-only `grid`, which changes
+/// neither the tier's availability model nor its price. `combos` lists
+/// every full combination in [`enumerate_settings`] order as a
+/// `(class, grid)` index pair, so a sweep keeps the enumeration order even
+/// when a performance-only parameter is enumerated before an availability
+/// one.
+#[derive(Debug)]
+pub(crate) struct SplitSettings {
+    pub(crate) classes: Vec<Vec<Setting>>,
+    pub(crate) grid: Vec<Vec<Setting>>,
+    pub(crate) combos: Vec<(usize, usize)>,
+}
+
+/// Splits the settings [`enumerate_tier_candidates`] enumerates for
+/// `option` into availability classes and the performance-only grid.
+pub(crate) fn split_settings(
+    infrastructure: &Infrastructure,
+    option: &ResourceOption,
+    pins: &[(MechanismName, String, ParamValue)],
+) -> SplitSettings {
+    let knobs = knobs(
+        infrastructure,
+        &relevant_mechanisms(infrastructure, option),
+        pins,
+    );
+    let total: usize = knobs.iter().map(|k| k.values.len()).product();
+    // Combination k is a mixed-radix number whose last digit is the last
+    // knob's value index; the class and grid indices are the same digits
+    // restricted to their own knobs.
+    let combos = (0..total)
+        .map(|k| {
+            let (mut rest, mut class, mut grid) = (k, 0, 0);
+            let (mut class_scale, mut grid_scale) = (1, 1);
+            for knob in knobs.iter().rev() {
+                let n = knob.values.len();
+                let digit = rest % n;
+                rest /= n;
+                if knob.availability {
+                    class += digit * class_scale;
+                    class_scale *= n;
+                } else {
+                    grid += digit * grid_scale;
+                    grid_scale *= n;
                 }
             }
-            combos = next;
+            (class, grid)
+        })
+        .collect();
+    SplitSettings {
+        classes: cartesian(knobs.iter().filter(|k| k.availability)),
+        grid: cartesian(knobs.iter().filter(|k| !k.availability)),
+        combos,
+    }
+}
+
+impl SplitSettings {
+    /// Combination `k`'s settings, read in place rather than applied to a
+    /// design.
+    pub(crate) fn combo(&self, k: usize) -> Combo<'_> {
+        let (class, grid) = self.combos[k];
+        Combo(&self.classes[class], &self.grid[grid])
+    }
+}
+
+/// One settings combination as its class and grid halves.
+pub(crate) struct Combo<'s>(&'s [Setting], &'s [Setting]);
+
+impl Settings for Combo<'_> {
+    fn get(&self, mechanism: &MechanismName, param: &ParamName) -> Option<ParamValue> {
+        self.0
+            .iter()
+            .chain(self.1)
+            .find(|(m, p, _)| m == mechanism && p == param.as_str())
+            .map(|(_, _, v)| v.clone())
+    }
+}
+
+/// The active/spare splits and spare modes of `n_total` resources of one
+/// option, in enumeration order: every split respecting the option's
+/// `nActive` constraint and `min_active`, each with every spare mode (one
+/// mode when there are no spares).
+pub(crate) fn splits(
+    option: &ResourceOption,
+    n_total: u32,
+    min_active: u32,
+    options: &SearchOptions,
+) -> Vec<(u32, u32, SpareMode)> {
+    let mut out = Vec::new();
+    let max_spares = options.max_spares.min(n_total.saturating_sub(1));
+    for n_spare in 0..=max_spares {
+        let n_active = n_total - n_spare;
+        if n_active < min_active.max(1) || !option.n_active().contains(n_active) {
+            continue;
+        }
+        let spare_modes: &[SpareMode] = if n_spare == 0 {
+            // Spare mode is irrelevant without spares; emit one variant.
+            &options.spare_modes[..1.min(options.spare_modes.len())]
+        } else {
+            &options.spare_modes
+        };
+        for spare_mode in spare_modes {
+            out.push((n_active, n_spare, spare_mode.clone()));
         }
     }
-    combos
+    out
 }
 
 /// Enumerates all resolved tier designs with exactly `n_total` resources
@@ -349,31 +493,21 @@ pub fn enumerate_tier_candidates(
     let mechanisms = relevant_mechanisms(infrastructure, option);
     let settings = enumerate_settings(infrastructure, &mechanisms, &options.pins);
     let mut out = Vec::new();
-    let max_spares = options.max_spares.min(n_total.saturating_sub(1));
-    for n_spare in 0..=max_spares {
-        let n_active = n_total - n_spare;
-        if n_active < min_active.max(1) || !option.n_active().contains(n_active) {
-            continue;
-        }
-        let spare_modes: &[SpareMode] = if n_spare == 0 {
-            // Spare mode is irrelevant without spares; emit one variant.
-            &options.spare_modes[..1.min(options.spare_modes.len())]
-        } else {
-            &options.spare_modes
-        };
-        for spare_mode in spare_modes {
-            for combo in &settings {
-                let mut td =
-                    TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
-                        .with_spare_mode(spare_mode.clone());
-                for (mech, param, value) in combo {
-                    td = td.with_setting(mech.clone(), param.as_str(), value.clone());
-                }
-                out.push(td);
-            }
+    for (n_active, n_spare, spare_mode) in splits(option, n_total, min_active, options) {
+        for combo in &settings {
+            let td = TierDesign::new(tier.clone(), option.resource().clone(), n_active, n_spare)
+                .with_spare_mode(spare_mode.clone());
+            out.push(with_settings(td, combo));
         }
     }
     out
+}
+
+/// `td` with every setting of `combo` applied.
+pub(crate) fn with_settings(td: TierDesign, combo: &[Setting]) -> TierDesign {
+    combo.iter().fold(td, |td, (mech, param, value)| {
+        td.with_setting(mech.clone(), param.as_str(), value.clone())
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,14 @@
 //! Attaching cost, availability and completion time to a candidate design.
 
-use aved_avail::{derive_tier_model, loss_window, EvalHealth, EvalSession, TierAvailability};
+use aved_avail::{
+    derive_tier_model, loss_window, EvalHealth, EvalSession, TierAvailability, TierModel,
+};
 use aved_jobtime::JobParams;
-use aved_model::{tier_design_cost, ResourceOption, TierDesign};
+use aved_model::{
+    tier_design_cost, ModelError, ParamName, ParamValue, ResourceOption, ResourceType, Settings,
+    TierDesign,
+};
+use aved_perf::{CheckpointOverhead, StorageLocation};
 use aved_units::{Duration, Money};
 
 use crate::{EvalContext, SearchError};
@@ -160,32 +166,8 @@ pub fn evaluate_enterprise_design_in(
     load: f64,
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
-    let perf = ctx.catalog().resolve_perf(option.performance())?;
-    let Some(min_for_perf) = perf.min_active_for(load) else {
-        return Ok(None);
-    };
-    if td.n_active() < min_for_perf {
-        return Ok(None);
-    }
-    let cost = tier_design_cost(ctx.infrastructure(), td)?.total();
-    ensure_finite("cost", cost.dollars())?;
-    let model = derive_tier_model(
-        ctx.infrastructure(),
-        td,
-        option.sizing(),
-        option.failure_scope(),
-        min_for_perf,
-    )?;
-    let (availability, health) = ctx.engine().evaluate_with_session(&model, session)?;
-    ensure_finite("unavailability", availability.unavailability())?;
-    Ok(Some(EvaluatedDesign {
-        design: td.clone(),
-        cost,
-        availability,
-        min_for_perf,
-        expected_job_time: None,
-        health,
-    }))
+    let class = ClassEval::enterprise(ctx, option, td, load, None, session)?;
+    Ok(class.map(|c| c.design(td.clone(), None)))
 }
 
 /// Evaluates a candidate design of a finite-job tier: cost, availability,
@@ -209,7 +191,10 @@ pub fn evaluate_job_design(
 }
 
 /// [`evaluate_job_design`] with a caller-owned [`EvalSession`] — the
-/// finite-job analogue of [`evaluate_enterprise_design_in`].
+/// finite-job analogue of [`evaluate_enterprise_design_in`], and the
+/// one-candidate case of the search's staged evaluation: the design's
+/// availability class is solved, then Eq. (1) runs at the design's own
+/// checkpoint settings.
 ///
 /// # Errors
 ///
@@ -222,72 +207,237 @@ pub fn evaluate_job_design_in(
     td: &TierDesign,
     session: &mut EvalSession,
 ) -> Result<Option<EvaluatedDesign>, SearchError> {
-    let job_size = ctx.job_size()?;
-    let perf = ctx.catalog().resolve_perf(option.performance())?;
-    let throughput = perf.throughput(td.n_active());
-    if throughput <= 0.0 {
+    let Some(class) = ClassEval::job(ctx, option, td, None, session)? else {
         return Ok(None);
-    }
-    let cost = tier_design_cost(ctx.infrastructure(), td)?.total();
-    ensure_finite("cost", cost.dollars())?;
-    let model = derive_tier_model(
-        ctx.infrastructure(),
-        td,
-        option.sizing(),
-        option.failure_scope(),
-        td.n_active(),
-    )?;
-    let (availability, health) = ctx.engine().evaluate_with_session(&model, session)?;
-    ensure_finite("unavailability", availability.unavailability())?;
+    };
+    let resource = ctx
+        .infrastructure()
+        .resource(td.resource().as_str())
+        .ok_or_else(|| ModelError::UnknownResource {
+            tier: td.tier().to_string(),
+            resource: td.resource().to_string(),
+        })?;
+    let expected = class.job_time(&JobInputs::of(ctx, option, resource, td)?)?;
+    Ok(Some(class.design(td.clone(), Some(expected))))
+}
 
-    // Failure-free computation time, inflated by checkpoint overhead when
-    // the option uses a checkpoint mechanism with an mperformance function.
-    let base_hours = job_size / throughput;
-    let mut multiplier = 1.0;
-    for mu in option.mechanisms() {
-        let Some(mperf_name) = mu.mperformance() else {
-            continue;
-        };
-        let mperf = ctx.catalog().resolve_mperf(mperf_name)?;
-        let storage = match td.setting(mu.mechanism().as_str(), "storage_location") {
-            Some(aved_model::ParamValue::Level(l)) => l
-                .parse()
-                .map_err(|e: String| SearchError::RequirementMismatch { detail: e })?,
-            _ => aved_perf::StorageLocation::Central,
-        };
-        let interval = match td.setting(mu.mechanism().as_str(), "checkpoint_interval") {
-            Some(aved_model::ParamValue::Duration(d)) => *d,
-            _ => {
-                return Err(SearchError::RequirementMismatch {
-                    detail: format!("design does not set {}.checkpoint_interval", mu.mechanism()),
-                })
-            }
-        };
-        multiplier *= mperf.multiplier(storage, interval, td.n_active());
-    }
-    let work_time = Duration::from_hours(base_hours * multiplier);
+/// What every candidate of one availability class shares: the cost, the
+/// solved availability model and — for a finite job — the inputs of
+/// Eq. (1) that depend on it. Candidates of a class differ only in
+/// performance-only settings (checkpoint interval, storage location),
+/// which change neither.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassEval {
+    cost: Money,
+    availability: TierAvailability,
+    health: EvalHealth,
+    min_for_perf: u32,
+    job: Option<JobClass>,
+}
 
-    let lw = loss_window(ctx.infrastructure(), td)?;
-    let system_mtbf = model.tier_failure_rate().mean_time();
-    let mut params = JobParams::new(work_time)
-        .with_uptime_fraction(availability.availability().max(f64::MIN_POSITIVE));
-    if system_mtbf.seconds().is_finite() && !system_mtbf.is_zero() {
-        params = params.with_system_mtbf(system_mtbf);
-    }
-    if let Some(lw) = lw {
-        params = params.with_loss_window(lw);
-    }
-    let expected = params.expected_completion();
-    ensure_finite("expected job time", expected.seconds())?;
+/// The class-wide inputs of Eq. (1).
+#[derive(Debug, Clone, Copy)]
+struct JobClass {
+    n_active: u32,
+    /// Failure-free computation time at the class's throughput, in hours.
+    base_hours: f64,
+    uptime: f64,
+    /// The tier's mean time between failures, when finite and nonzero.
+    mtbf: Option<Duration>,
+}
 
-    Ok(Some(EvaluatedDesign {
-        design: td.clone(),
-        cost,
-        availability,
-        min_for_perf: td.n_active(),
-        expected_job_time: Some(expected),
-        health,
-    }))
+impl ClassEval {
+    /// Solves the class of enterprise-tier design `td` serving `load`;
+    /// `Ok(None)` when it has too few actives for the load. `cost` skips
+    /// re-costing when the caller already priced the class.
+    pub(crate) fn enterprise(
+        ctx: &EvalContext<'_>,
+        option: &ResourceOption,
+        td: &TierDesign,
+        load: f64,
+        cost: Option<Money>,
+        session: &mut EvalSession,
+    ) -> Result<Option<ClassEval>, SearchError> {
+        let perf = ctx.catalog().resolve_perf(option.performance())?;
+        let Some(min_for_perf) = perf.min_active_for(load) else {
+            return Ok(None);
+        };
+        if td.n_active() < min_for_perf {
+            return Ok(None);
+        }
+        let (class, _) = ClassEval::solve(ctx, option, td, min_for_perf, cost, session)?;
+        Ok(Some(class))
+    }
+
+    /// Solves the class of finite-job design `td`; `Ok(None)` when the
+    /// option yields no throughput at its node count.
+    pub(crate) fn job(
+        ctx: &EvalContext<'_>,
+        option: &ResourceOption,
+        td: &TierDesign,
+        cost: Option<Money>,
+        session: &mut EvalSession,
+    ) -> Result<Option<ClassEval>, SearchError> {
+        let job_size = ctx.job_size()?;
+        let perf = ctx.catalog().resolve_perf(option.performance())?;
+        let throughput = perf.throughput(td.n_active());
+        if throughput <= 0.0 {
+            return Ok(None);
+        }
+        let (mut class, model) = ClassEval::solve(ctx, option, td, td.n_active(), cost, session)?;
+        let mtbf = model.tier_failure_rate().mean_time();
+        class.job = Some(JobClass {
+            n_active: td.n_active(),
+            base_hours: job_size / throughput,
+            uptime: class.availability.availability().max(f64::MIN_POSITIVE),
+            mtbf: (mtbf.seconds().is_finite() && !mtbf.is_zero()).then_some(mtbf),
+        });
+        Ok(Some(class))
+    }
+
+    /// Costs, derives and solves the availability model, rejecting
+    /// non-finite metrics.
+    fn solve(
+        ctx: &EvalContext<'_>,
+        option: &ResourceOption,
+        td: &TierDesign,
+        min_for_perf: u32,
+        cost: Option<Money>,
+        session: &mut EvalSession,
+    ) -> Result<(ClassEval, TierModel), SearchError> {
+        let cost = match cost {
+            Some(cost) => cost,
+            None => tier_design_cost(ctx.infrastructure(), td)?.total(),
+        };
+        ensure_finite("cost", cost.dollars())?;
+        let model = derive_tier_model(
+            ctx.infrastructure(),
+            td,
+            option.sizing(),
+            option.failure_scope(),
+            min_for_perf,
+        )?;
+        let (availability, health) = ctx.engine().evaluate_with_session(&model, session)?;
+        ensure_finite("unavailability", availability.unavailability())?;
+        let class = ClassEval {
+            cost,
+            availability,
+            health,
+            min_for_perf,
+            job: None,
+        };
+        Ok((class, model))
+    }
+
+    pub(crate) fn cost(&self) -> Money {
+        self.cost
+    }
+
+    pub(crate) fn health(&self) -> EvalHealth {
+        self.health
+    }
+
+    pub(crate) fn annual_downtime(&self) -> Duration {
+        self.availability.annual_downtime()
+    }
+
+    /// Eq. (1) at one grid point: the expected completion time under the
+    /// point's checkpoint settings.
+    pub(crate) fn job_time(&self, inputs: &JobInputs) -> Result<Duration, SearchError> {
+        let Some(job) = self.job else {
+            return Err(SearchError::RequirementMismatch {
+                detail: "service declares no jobsize".into(),
+            });
+        };
+        // Failure-free computation time, inflated by checkpoint overhead
+        // when the option uses a checkpoint mechanism with an mperformance
+        // function.
+        let mut multiplier = 1.0;
+        for (mperf, storage, interval) in &inputs.checkpoints {
+            multiplier *= mperf.multiplier(*storage, *interval, job.n_active);
+        }
+        let work_time = Duration::from_hours(job.base_hours * multiplier);
+        let mut params = JobParams::new(work_time).with_uptime_fraction(job.uptime);
+        if let Some(mtbf) = job.mtbf {
+            params = params.with_system_mtbf(mtbf);
+        }
+        if let Some(lw) = inputs.loss_window {
+            params = params.with_loss_window(lw);
+        }
+        let expected = params.expected_completion();
+        ensure_finite("expected job time", expected.seconds())?;
+        Ok(expected)
+    }
+
+    /// The evaluated design of class member `td`.
+    pub(crate) fn design(
+        &self,
+        td: TierDesign,
+        expected_job_time: Option<Duration>,
+    ) -> EvaluatedDesign {
+        EvaluatedDesign {
+            design: td,
+            cost: self.cost,
+            availability: self.availability,
+            min_for_perf: self.min_for_perf,
+            expected_job_time,
+            health: self.health,
+        }
+    }
+}
+
+/// The performance-only inputs of Eq. (1) that one settings combination
+/// fixes: each checkpoint mechanism's overhead function, storage location
+/// and interval, and the loss window.
+#[derive(Debug, Clone)]
+pub(crate) struct JobInputs {
+    checkpoints: Vec<(CheckpointOverhead, StorageLocation, Duration)>,
+    loss_window: Option<Duration>,
+}
+
+impl JobInputs {
+    /// Reads the inputs of a design of `option` on `resource` from
+    /// `settings`.
+    pub(crate) fn of(
+        ctx: &EvalContext<'_>,
+        option: &ResourceOption,
+        resource: &ResourceType,
+        settings: &impl Settings,
+    ) -> Result<JobInputs, SearchError> {
+        let (storage_location, checkpoint_interval) = (
+            ParamName::new("storage_location"),
+            ParamName::new("checkpoint_interval"),
+        );
+        let mut checkpoints = Vec::new();
+        for mu in option.mechanisms() {
+            let Some(mperf_name) = mu.mperformance() else {
+                continue;
+            };
+            let mperf = ctx.catalog().resolve_mperf(mperf_name)?;
+            let storage = match settings.get(mu.mechanism(), &storage_location) {
+                Some(ParamValue::Level(l)) => l
+                    .parse()
+                    .map_err(|e: String| SearchError::RequirementMismatch { detail: e })?,
+                _ => StorageLocation::Central,
+            };
+            let interval = match settings.get(mu.mechanism(), &checkpoint_interval) {
+                Some(ParamValue::Duration(d)) => d,
+                _ => {
+                    return Err(SearchError::RequirementMismatch {
+                        detail: format!(
+                            "design does not set {}.checkpoint_interval",
+                            mu.mechanism()
+                        ),
+                    })
+                }
+            };
+            checkpoints.push((mperf, storage, interval));
+        }
+        Ok(JobInputs {
+            checkpoints,
+            loss_window: loss_window(ctx.infrastructure(), resource, settings)?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! candidate might be a frontier point, so one unpruned batch covers every
 //! level, and the frontier is identical at any worker count, warm or cold.
 
-use aved_units::Duration;
+use aved_units::{Duration, Money};
 
 use crate::sweep::{Evaluator, Levels, Policy, Sweep};
 use crate::{EvalContext, EvaluatedDesign, SearchError, SearchHealth, SearchOptions};
@@ -84,27 +84,29 @@ pub fn job_frontier(
     .map(|(f, _)| f)
 }
 
-/// Keeps the Pareto-optimal designs under (cost, quality) where smaller is
+/// Keeps the Pareto-optimal entries under (cost, quality) where smaller is
 /// better for both, sorted by increasing cost. Ties in quality keep the
-/// cheaper design; ties in cost keep the better quality.
-pub(crate) fn pareto_by(
-    mut all: Vec<EvaluatedDesign>,
-    quality: impl Fn(&EvaluatedDesign) -> Duration,
-) -> Vec<EvaluatedDesign> {
+/// cheaper entry; ties in cost keep the better quality; full ties keep the
+/// earlier entry.
+pub(crate) fn pareto_by<T>(
+    mut all: Vec<T>,
+    cost: impl Fn(&T) -> Money,
+    quality: impl Fn(&T) -> Duration,
+) -> Vec<T> {
     // The evaluation layer guarantees finite metrics (NaN/∞ results become
     // errors and the candidate is skipped); this is the last line of
     // defense in front of the ordering.
     debug_assert!(
         all.iter()
-            .all(|e| e.cost().dollars().is_finite() && !quality(e).seconds().is_nan()),
+            .all(|e| cost(e).dollars().is_finite() && !quality(e).seconds().is_nan()),
         "non-finite metric reached the frontier comparison"
     );
     all.sort_by(|a, b| {
-        a.cost()
-            .total_cmp(&b.cost())
+        cost(a)
+            .total_cmp(&cost(b))
             .then_with(|| quality(a).seconds().total_cmp(&quality(b).seconds()))
     });
-    let mut frontier: Vec<EvaluatedDesign> = Vec::new();
+    let mut frontier: Vec<T> = Vec::new();
     let mut best_quality: Option<Duration> = None;
     for e in all {
         let q = quality(&e);
@@ -120,7 +122,6 @@ pub(crate) fn pareto_by(
 mod tests {
     use super::*;
     use crate::test_fixtures::{app_tier_fixture, job_fixture};
-    use crate::CachingEngine;
     use aved_avail::DecompositionEngine;
     use aved_model::ParamValue;
 
@@ -254,7 +255,11 @@ mod tests {
             TierAvailability::new(0.5, aved_units::Rate::ZERO),
             None,
         );
-        let _ = pareto_by(vec![e], |e| e.annual_downtime());
+        let _ = pareto_by(
+            vec![e],
+            EvaluatedDesign::cost,
+            EvaluatedDesign::annual_downtime,
+        );
     }
 
     #[test]
@@ -315,8 +320,7 @@ mod tests {
     #[test]
     fn job_frontier_is_monotone_and_spans_resources() {
         let fx = job_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let o = SearchOptions {
             max_extra_active: 0,

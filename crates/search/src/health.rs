@@ -42,13 +42,15 @@ impl SkippedCandidate {
 
 /// How degraded a search run was: candidates skipped after evaluation
 /// failures, solver fallbacks taken, the worst accepted balance residual,
-/// and how the work got done — worker count, cache traffic, candidates
-/// pruned by cost dominance, and per-phase wall-clock time.
+/// and how the work got done — worker count, availability classes solved
+/// and the candidates they served, candidates pruned by cost dominance, and
+/// per-phase wall-clock time.
 ///
 /// Equality ignores the timing and workload fields (`wall_time`, the phase
-/// times, `jobs`, cache, evaluation and pruning counters): two runs that made the same
-/// decisions are equal even though timing — and, under parallel pruning,
-/// the exact amount of work avoided — is never reproducible.
+/// times, `jobs`, class-solve, evaluation and pruning counters): two runs
+/// that made the same decisions are equal even though timing — and, under
+/// parallel pruning, the exact amount of work avoided — is never
+/// reproducible.
 #[derive(Debug, Clone, Default)]
 pub struct SearchHealth {
     /// Candidates dropped because their evaluation failed.
@@ -68,10 +70,13 @@ pub struct SearchHealth {
     /// than a known-feasible design. Varies with scheduling under parallel
     /// runs; the selected design does not.
     pub candidates_pruned: u64,
-    /// Model-cache hits during the search, when the caller wired a
-    /// `CachingEngine` in and reported its counters.
+    /// Candidates graded against an availability class another candidate's
+    /// evaluation had already solved: the engine calls staged evaluation
+    /// saved. `cache_hits + cache_misses` counts every candidate graded
+    /// live against a solved class.
     pub cache_hits: u64,
-    /// Model-cache misses (inner engine evaluations), when reported.
+    /// Availability classes solved (successful engine calls); a class is
+    /// solved once per worker that meets it.
     pub cache_misses: u64,
     /// Worker threads the search actually used (after resolving `jobs = 0`
     /// to the machine's parallelism). Every search sets it; zero only in a
@@ -198,11 +203,11 @@ impl std::fmt::Display for SearchHealth {
         if self.candidates_pruned > 0 {
             write!(f, ", {} pruned by cost", self.candidates_pruned)?;
         }
-        if self.cache_hits + self.cache_misses > 0 {
+        if self.cache_misses > 0 {
             write!(
                 f,
-                ", cache {}/{} hit",
-                self.cache_hits,
+                ", {} class solve(s) served {} candidate(s)",
+                self.cache_misses,
                 self.cache_hits + self.cache_misses
             )?;
         }
@@ -241,21 +246,17 @@ impl std::fmt::Display for SearchHealth {
 /// Applies the per-candidate isolation policy to one evaluation result.
 ///
 /// Candidate-scoped failures (engine errors, non-finite metrics) are
-/// recorded in `health` and converted to "not a candidate" unless the
-/// search is strict; structural errors (unknown tiers, unresolvable
-/// references, inconsistent models) always propagate — they would fail
-/// every candidate, so skipping is just slower failure.
-pub(crate) fn isolate_candidate(
-    result: Result<Option<crate::EvaluatedDesign>, SearchError>,
+/// recorded in `health` against design `td` and converted to "not a
+/// candidate" unless the search is strict; structural errors (unknown
+/// tiers, unresolvable references, inconsistent models) always propagate —
+/// they would fail every candidate, so skipping is just slower failure.
+pub(crate) fn isolate_candidate<T>(
+    result: Result<Option<T>, SearchError>,
     strict: bool,
     health: &mut SearchHealth,
     td: &TierDesign,
-) -> Result<Option<crate::EvaluatedDesign>, SearchError> {
+) -> Result<Option<T>, SearchError> {
     match result {
-        Ok(Some(e)) => {
-            health.absorb_eval(e.eval_health());
-            Ok(Some(e))
-        }
         Err(e) if !strict && e.is_candidate_scoped() => {
             health.skipped.push(SkippedCandidate::from_failure(td, &e));
             Ok(None)
@@ -427,7 +428,7 @@ mod tests {
         assert!(s.contains("1.50e-11"), "{s}");
         assert!(s.contains("40 evaluated"), "{s}");
         assert!(s.contains("7 pruned by cost"), "{s}");
-        assert!(s.contains("cache 9/12 hit"), "{s}");
+        assert!(s.contains("3 class solve(s) served 12 candidate(s)"), "{s}");
         assert!(s.contains("4 job(s)"), "{s}");
         assert!(s.contains("warm 10/12 hit"), "{s}");
         assert!(s.contains("8 rebuild(s) avoided"), "{s}");

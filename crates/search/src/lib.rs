@@ -22,6 +22,11 @@
 //! time) and a selection policy (min-cost feasible, or Pareto) — so every
 //! sweep is alike:
 //!
+//! * *staged* — the availability model is solved once per availability
+//!   class (resource, counts, spare mode and the mechanism settings that
+//!   change MTBF, MTTR or cost); the performance-only settings on top of it
+//!   (checkpoint interval × storage location) cost one Eq. (1) evaluation
+//!   each;
 //! * *resilient* — a failing candidate is skipped and recorded, not fatal
 //!   ([`SearchOptions::strict`] restores fail-fast), and every run reports
 //!   a [`SearchHealth`];
@@ -37,7 +42,6 @@
 //!   [`SearchOptions::with_resume`] replay an interrupted sweep to the same
 //!   selection, bit for bit.
 
-mod cache;
 mod candidate;
 mod context;
 mod error;
@@ -53,7 +57,6 @@ mod sweep;
 mod test_fixtures;
 mod tier_search;
 
-pub use cache::CachingEngine;
 pub use candidate::{enumerate_settings, enumerate_tier_candidates, SearchOptions};
 pub use context::EvalContext;
 pub use error::SearchError;

@@ -262,7 +262,6 @@ pub fn search_service_with_health(
 mod tests {
     use super::*;
     use crate::test_fixtures::app_tier_fixture;
-    use crate::CachingEngine;
     use aved_avail::DecompositionEngine;
 
     fn small_opts() -> SearchOptions {
@@ -276,8 +275,7 @@ mod tests {
     #[test]
     fn three_tier_service_meets_requirement() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let design = search_service(&ctx, 400.0, Duration::from_mins(5000.0), &small_opts())
             .unwrap()
@@ -293,8 +291,7 @@ mod tests {
     #[test]
     fn tighter_service_budget_costs_more() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let loose = search_service(&ctx, 400.0, Duration::from_mins(8000.0), &small_opts())
             .unwrap()
@@ -309,8 +306,7 @@ mod tests {
     #[test]
     fn impossible_budget_returns_none() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let out = search_service(&ctx, 400.0, Duration::from_secs(0.0001), &small_opts()).unwrap();
         assert!(out.is_none());
@@ -349,8 +345,7 @@ mod tests {
     #[test]
     fn parallel_service_search_matches_serial() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let budget = Duration::from_mins(800.0);
         let serial = search_service(&ctx, 400.0, budget, &small_opts())
@@ -382,8 +377,7 @@ mod tests {
     fn service_downtime_dominates_each_tier() {
         // Service downtime (series) is at least every single tier's.
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let design = search_service(&ctx, 800.0, Duration::from_mins(6000.0), &small_opts())
             .unwrap()

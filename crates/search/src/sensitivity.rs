@@ -120,7 +120,6 @@ pub fn mtbf_sensitivity(
 mod tests {
     use super::*;
     use crate::test_fixtures::app_tier_fixture;
-    use crate::CachingEngine;
     use aved_avail::DecompositionEngine;
 
     fn opts() -> SearchOptions {
@@ -157,8 +156,7 @@ mod tests {
     #[test]
     fn unit_scale_reproduces_baseline() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let rows = mtbf_sensitivity(
             &ctx,
@@ -175,8 +173,7 @@ mod tests {
     #[test]
     fn worse_mtbfs_never_reduce_cost() {
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let rows = mtbf_sensitivity(
             &ctx,
@@ -201,8 +198,7 @@ mod tests {
         // Quadrupled failure rates under a tight budget force a different
         // (more redundant or better-maintained) design family.
         let fx = app_tier_fixture();
-        let inner = DecompositionEngine::default();
-        let engine = CachingEngine::new(&inner);
+        let engine = DecompositionEngine::default();
         let ctx = fx.context(&engine);
         let rows = mtbf_sensitivity(
             &ctx,

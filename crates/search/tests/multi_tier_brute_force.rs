@@ -4,9 +4,7 @@
 //! frontier combinations.
 
 use aved_avail::DecompositionEngine;
-use aved_search::{
-    search_service, tier_pareto_frontier, CachingEngine, EvalContext, SearchOptions,
-};
+use aved_search::{search_service, tier_pareto_frontier, EvalContext, SearchOptions};
 use aved_units::Duration;
 
 fn fixture() -> (
@@ -59,8 +57,7 @@ fn brute_force_cost(
 #[test]
 fn greedy_matches_brute_force_on_small_frontiers() {
     let (infra, svc, catalog) = fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infra, &svc, &catalog, &engine);
     // Small frontier bounds keep the cross product tractable.
     let options = SearchOptions {
@@ -97,8 +94,7 @@ fn greedy_is_exact_when_one_tier_dominates() {
     // tight budget, the upgrade path is essentially one-dimensional and
     // greedy must be exactly optimal.
     let (infra, svc, catalog) = fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infra, &svc, &catalog, &engine);
     let options = SearchOptions {
         max_extra_active: 1,

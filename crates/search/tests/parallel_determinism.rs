@@ -11,8 +11,8 @@ use aved_avail::{DecompositionEngine, FaultInjectingEngine, InjectedFault};
 use aved_model::{Infrastructure, ParamValue, Service};
 use aved_perf::Catalog;
 use aved_search::{
-    job_frontier, search_job_tier, search_tier, tier_pareto_frontier, CachingEngine, EvalContext,
-    EvaluatedDesign, SearchOptions,
+    job_frontier, search_job_tier, search_tier, tier_pareto_frontier, EvalContext, EvaluatedDesign,
+    SearchOptions,
 };
 use aved_units::Duration;
 
@@ -111,8 +111,7 @@ fn fig6_search_is_identical_at_any_worker_count() {
 #[test]
 fn fig6_frontier_is_identical_at_any_worker_count() {
     let fx = fig6_fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let serial = tier_pareto_frontier(&ctx, "application", 800.0, &enterprise_opts()).unwrap();
     assert!(serial.len() >= 3);
@@ -131,8 +130,7 @@ fn fig6_frontier_is_identical_at_any_worker_count() {
 #[test]
 fn fig7_search_is_identical_at_any_worker_count() {
     let fx = fig7_fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let deadline = Duration::from_hours(200.0);
     let serial = search_job_tier(&ctx, "computation", deadline, &job_opts()).unwrap();
@@ -150,8 +148,7 @@ fn fig7_search_is_identical_at_any_worker_count() {
 #[test]
 fn fig7_frontier_is_identical_at_any_worker_count() {
     let fx = fig7_fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let totals = [1, 2, 4, 8, 16, 32, 64];
     let serial = job_frontier(&ctx, "computation", &totals, &job_opts()).unwrap();
@@ -226,8 +223,7 @@ fn faulty_engine_frontier_is_identical_at_any_worker_count() {
 #[test]
 fn pruning_toggle_is_invisible_in_the_result_at_any_worker_count() {
     let fx = fig7_fixture();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let deadline = Duration::from_hours(100.0);
     let exhaustive =

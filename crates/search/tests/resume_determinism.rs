@@ -213,10 +213,14 @@ fn fig7_killed_job_sweep_resumes_to_the_reference_winner() {
     let reference = search_job_tier(&ctx, "computation", deadline, &job_opts()).unwrap();
     let reference_best = reference.best().expect("feasible");
 
+    // Killed run: the engine trips the cancel token on its first call. The
+    // staged search solves each availability class once, and this sweep
+    // has a single class before the winner is known, so any later kill
+    // would land after the sweep's last engine call.
     let path = temp_journal("fig7-killed");
     {
         let token = CancelToken::new();
-        let engine = CancelAfter::new(10, token.clone());
+        let engine = CancelAfter::new(0, token.clone());
         let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
         let journal = Arc::new(SweepJournal::create(&path).unwrap());
         let opts = job_opts().with_cancel(token).with_journal(journal.clone());

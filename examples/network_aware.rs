@@ -14,7 +14,7 @@ use aved::avail::{
 };
 use aved::model::{FailureScope, Sizing};
 use aved::scenario;
-use aved::search::{search_service, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_service, EvalContext, SearchOptions};
 use aved::units::Duration;
 use aved::DecompositionEngine;
 
@@ -22,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infrastructure = scenario::infrastructure()?;
     let service = scenario::ecommerce()?;
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let options = SearchOptions {
         max_extra_active: 2,

@@ -10,15 +10,14 @@
 use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
-use aved::search::{search_job_tier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{search_job_tier, EvalContext, SearchOptions};
 use aved::units::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infrastructure = scenario::infrastructure()?;
     let service = scenario::scientific()?;
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
 
     // Fig. 7 fixes the maintenance contract to bronze.

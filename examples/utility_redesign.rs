@@ -14,15 +14,14 @@
 
 use aved::avail::DecompositionEngine;
 use aved::scenario;
-use aved::search::{mtbf_sensitivity, search_tier, CachingEngine, EvalContext, SearchOptions};
+use aved::search::{mtbf_sensitivity, search_tier, EvalContext, SearchOptions};
 use aved::units::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infrastructure = scenario::infrastructure()?;
     let service = scenario::ecommerce()?;
     let catalog = scenario::catalog();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&infrastructure, &service, &catalog, &engine);
     let options = SearchOptions::default();
     let budget = Duration::from_mins(100.0);

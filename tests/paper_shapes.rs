@@ -8,8 +8,7 @@ use aved::avail::DecompositionEngine;
 use aved::model::ParamValue;
 use aved::scenario;
 use aved::search::{
-    search_job_tier, tier_pareto_frontier, CachingEngine, EvalContext, EvaluatedDesign,
-    SearchOptions,
+    search_job_tier, tier_pareto_frontier, EvalContext, EvaluatedDesign, SearchOptions,
 };
 use aved::units::Duration;
 
@@ -36,8 +35,7 @@ fn scientific_fx() -> Fx {
 }
 
 fn frontier_at(fx: &Fx, load: f64) -> Vec<EvaluatedDesign> {
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     tier_pareto_frontier(&ctx, "application", load, &SearchOptions::default()).unwrap()
 }
@@ -179,8 +177,7 @@ fn fig6_frontier_downtime_spans_the_plotted_decades() {
 
 fn fig7_best(req_hours: f64) -> EvaluatedDesign {
     let fx = scientific_fx();
-    let inner = DecompositionEngine::default();
-    let engine = CachingEngine::new(&inner);
+    let engine = DecompositionEngine::default();
     let ctx = EvalContext::new(&fx.infrastructure, &fx.service, &fx.catalog, &engine);
     let options = SearchOptions {
         max_spares: 3,
