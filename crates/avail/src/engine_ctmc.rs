@@ -10,12 +10,18 @@ use crate::{
     TierModel,
 };
 
-/// State of the tier CTMC: failed-resource count per failure class, plus an
-/// optional in-progress failover (the class that triggered it).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Most failure classes one tier chain can track: the width of the
+/// failover mask in [`ChainKey`].
+pub(crate) const MAX_CLASSES: usize = 64;
+
+/// State of the tier CTMC: failed-resource count per failure class (classes
+/// past the model's own are always zero), plus an optional in-progress
+/// failover (the class that triggered it). Inline and `Copy`, so exploring
+/// and repatching a chain allocates nothing per state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct St {
-    pub(crate) failed: Vec<u8>,
-    pub(crate) failover: Option<u8>,
+    failed: [u8; MAX_CLASSES],
+    failover: Option<u8>,
 }
 
 /// Derived per-state quantities shared by the transition rules and the
@@ -34,9 +40,9 @@ fn view(model: &TierModel, st: &St) -> View {
     let n_total = model.n_total();
     let mut failed_total: u32 = 0;
     let mut failed_failover: u32 = 0;
-    for (i, &k) in st.failed.iter().enumerate() {
+    for (class, &k) in model.classes().iter().zip(&st.failed) {
         failed_total += u32::from(k);
-        if model.classes()[i].uses_failover() {
+        if class.uses_failover() {
             failed_failover += u32::from(k);
         }
     }
@@ -57,6 +63,140 @@ fn view(model: &TierModel, st: &St) -> View {
         free_spares,
         backfill_available,
     }
+}
+
+/// The transition rules of the tier chain: successors of `st` with their
+/// rates, in a deterministic rule order. Shared between the initial
+/// exploration and the rate-only in-place rebuild ([`Explored::repatch`])
+/// so both see the exact same rule sequence.
+///
+/// Every emitted rate is positive (failure rates, MTTRs and failover times
+/// are validated positive, and the resource-count factors gate the rule),
+/// so the chain's sparsity structure is a function of the model's *shape*
+/// only — the invariant [`ChainKey`] relies on.
+fn successors<'a>(model: &'a TierModel, cap: u32, st: &St) -> Successors<'a> {
+    let st = *st;
+    let classes = model.classes();
+    let v = view(model, &st);
+    let failed_total: u32 = st.failed[..classes.len()]
+        .iter()
+        .map(|&k| u32::from(k))
+        .sum();
+    Successors {
+        model,
+        st,
+        working: v.working,
+        // An active failure of a failover class starts a transient when no
+        // transient is running, a spare can backfill, and the failure
+        // drops the working count below m.
+        may_fail_over: st.failover.is_none() && v.backfill_available && v.working <= model.m(),
+        exposed_spares: if model.spares_exposed() {
+            v.free_spares
+        } else {
+            0
+        },
+        // Failures happen only below the truncation cap.
+        failing: if failed_total < cap { classes.len() } else { 0 },
+        next: Rule::ActiveFailure(0),
+    }
+}
+
+/// The rule [`Successors`] emits next, with the class it applies to.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    ActiveFailure(usize),
+    SpareFailure(usize),
+    Repair(usize),
+    FailoverCompletion,
+    Done,
+}
+
+/// Iterator over the successors of one tier-chain state (see
+/// [`successors`]): per class, the active and then the hot-spare failure;
+/// then per class, the repair; then the failover completion. Each state is
+/// copied, never allocated.
+struct Successors<'a> {
+    model: &'a TierModel,
+    st: St,
+    working: u32,
+    may_fail_over: bool,
+    exposed_spares: u32,
+    /// Classes that may fail: all of them, or none at the cap.
+    failing: usize,
+    next: Rule,
+}
+
+impl Iterator for Successors<'_> {
+    type Item = (f64, St);
+
+    fn next(&mut self) -> Option<(f64, St)> {
+        let classes = self.model.classes();
+        loop {
+            match self.next {
+                Rule::ActiveFailure(i) if i < self.failing => {
+                    self.next = Rule::SpareFailure(i);
+                    let class = &classes[i];
+                    let rate = f64::from(self.working) * class.rate().per_hour_value();
+                    if rate > 0.0 {
+                        let mut next = self.st;
+                        next.failed[i] += 1;
+                        if self.may_fail_over && class.uses_failover() {
+                            next.failover = Some(i as u8);
+                        }
+                        return Some((rate, next));
+                    }
+                }
+                Rule::ActiveFailure(_) => self.next = Rule::Repair(0),
+                // No transient: losing an idle spare never interrupts
+                // service by itself.
+                Rule::SpareFailure(i) => {
+                    self.next = Rule::ActiveFailure(i + 1);
+                    let rate = f64::from(self.exposed_spares) * classes[i].rate().per_hour_value();
+                    if rate > 0.0 {
+                        let mut next = self.st;
+                        next.failed[i] += 1;
+                        return Some((rate, next));
+                    }
+                }
+                // Each failed resource repairs independently.
+                Rule::Repair(i) if i < classes.len() => {
+                    self.next = Rule::Repair(i + 1);
+                    let failed = self.st.failed[i];
+                    if failed > 0 {
+                        let mu = 1.0 / classes[i].mttr().hours();
+                        let mut next = self.st;
+                        next.failed[i] -= 1;
+                        return Some((f64::from(failed) * mu, next));
+                    }
+                }
+                Rule::Repair(_) => self.next = Rule::FailoverCompletion,
+                Rule::FailoverCompletion => {
+                    self.next = Rule::Done;
+                    if let Some(fo) = self.st.failover {
+                        let mut next = self.st;
+                        next.failover = None;
+                        let class = &classes[usize::from(fo)];
+                        return Some((1.0 / class.failover_time().hours(), next));
+                    }
+                }
+                Rule::Done => return None,
+            }
+        }
+    }
+}
+
+/// Rejects a model with more failure classes than a chain state tracks.
+fn check_width(model: &TierModel) -> Result<(), AvailError> {
+    let n_classes = model.classes().len();
+    if n_classes > MAX_CLASSES {
+        return Err(AvailError::InvalidModel {
+            detail: format!(
+                "the CTMC engine tracks at most {MAX_CLASSES} failure classes per tier, \
+                 got {n_classes}"
+            ),
+        });
+    }
+    Ok(())
 }
 
 fn is_down(model: &TierModel, st: &St) -> bool {
@@ -129,11 +269,16 @@ impl CtmcEngine {
         self.max_concurrent
     }
 
-    /// Sets the state count below which the solver prefers the dense direct
-    /// solve (exact, hint-free) over the iterative chain. Defaults to 3000,
-    /// which covers every chain the tier models produce — lowering it (e.g.
-    /// to 0) forces the iterative, warm-startable path and is how the
-    /// `solver_warm` bench exposes warm-start iteration savings.
+    /// Sets the state count below which the solver prefers the direct solve
+    /// (the GTH state reduction of [`DenseSolver`]: exact to full relative
+    /// precision in every state, hint-free) over the iterative chain.
+    /// Defaults to 3000, which covers every chain the tier models produce;
+    /// on their level-by-level structure the reduction stays inside a
+    /// narrow envelope, so it costs far less than a dense `n³` elimination.
+    /// Lowering it (e.g. to 0) forces the iterative, warm-startable path and
+    /// is how the `solver_warm` bench exposes warm-start iteration savings.
+    ///
+    /// [`DenseSolver`]: aved_markov::DenseSolver
     #[must_use]
     pub fn with_dense_cutover(mut self, dense_cutover: usize) -> CtmcEngine {
         self.dense_cutover = dense_cutover;
@@ -156,71 +301,6 @@ impl CtmcEngine {
             .collect()
     }
 
-    /// The transition rules of the tier chain: successors of `st` with
-    /// their rates, in a deterministic rule order. Shared between the
-    /// initial exploration and the rate-only in-place rebuild
-    /// ([`Explored::repatch`]) so both see the exact same rule sequence.
-    ///
-    /// Every emitted rate is positive (failure rates, MTTRs and failover
-    /// times are validated positive, and the resource-count factors gate
-    /// the rule), so the chain's sparsity structure is a function of the
-    /// model's *shape* only — the invariant [`ChainKey`] relies on.
-    fn successor_rates(&self, model: &TierModel, cap: u32, st: &St) -> Vec<(f64, St)> {
-        let mut out: Vec<(f64, St)> = Vec::new();
-        let v = view(model, st);
-        let failed_total: u32 = st.failed.iter().map(|&k| u32::from(k)).sum();
-
-        // Failures (only below the truncation cap).
-        if failed_total < cap {
-            for (i, class) in model.classes().iter().enumerate() {
-                let lambda = class.rate().per_hour_value();
-                // Active-resource failures.
-                let active_rate = f64::from(v.working) * lambda;
-                if active_rate > 0.0 {
-                    let mut next = st.clone();
-                    next.failed[i] += 1;
-                    if st.failover.is_none()
-                        && class.uses_failover()
-                        && v.backfill_available
-                        && v.working - 1 < model.m()
-                    {
-                        next.failover = Some(i as u8);
-                    }
-                    out.push((active_rate, next));
-                }
-                // Hot-spare failures (no transient: losing an idle spare
-                // never interrupts service by itself).
-                if model.spares_exposed() {
-                    let spare_rate = f64::from(v.free_spares) * lambda;
-                    if spare_rate > 0.0 {
-                        let mut next = st.clone();
-                        next.failed[i] += 1;
-                        out.push((spare_rate, next));
-                    }
-                }
-            }
-        }
-
-        // Repairs: each failed resource repairs independently.
-        for (i, class) in model.classes().iter().enumerate() {
-            if st.failed[i] > 0 {
-                let mu = 1.0 / class.mttr().hours();
-                let mut next = st.clone();
-                next.failed[i] -= 1;
-                out.push((f64::from(st.failed[i]) * mu, next));
-            }
-        }
-
-        // Failover completion.
-        if let Some(fo) = st.failover {
-            let class = &model.classes()[fo as usize];
-            let mut next = st.clone();
-            next.failover = None;
-            out.push((1.0 / class.failover_time().hours(), next));
-        }
-        out
-    }
-
     /// Builds and explores the tier chain (exposed for tests and the
     /// decomposition engine).
     pub(crate) fn explore_chain(&self, model: &TierModel) -> Result<Explored<St>, AvailError> {
@@ -235,16 +315,16 @@ impl CtmcEngine {
         model: &TierModel,
         budget: &SolveBudget,
     ) -> Result<Explored<St>, AvailError> {
+        check_width(model)?;
         let cap = self.max_concurrent.min(model.n_total());
-        let n_classes = model.classes().len();
         let initial = St {
-            failed: vec![0; n_classes],
+            failed: [0; MAX_CLASSES],
             failover: None,
         };
         let explored = explore_budgeted(
             initial,
             2_000_000,
-            |st: &St| self.successor_rates(model, cap, st),
+            |st: &St| successors(model, cap, st),
             budget,
         )?;
         Ok(explored)
@@ -262,17 +342,19 @@ impl CtmcEngine {
         budget: &SolveBudget,
     ) -> Result<(TierAvailability, EvalHealth), AvailError> {
         let ctmc = cached.explored.ctmc();
-        // Resilient solve: dense first below the cutover (exact and fastest
-        // there), Gauss-Seidel -> power -> dense above it; every accepted
-        // solution passes an independent `‖πQ‖∞ <= 1e-9` residual check.
+        // Resilient solve: the direct GTH reduction first below the cutover
+        // (exact and fastest there), Gauss-Seidel -> power -> direct above
+        // it; every accepted solution passes an independent
+        // `‖πQ‖∞ <= 1e-9` residual check.
         let hint = if cached.pi.len() == ctmc.n_states() {
             Some(cached.pi.as_slice())
         } else {
             None
         };
         // A hint exists exactly when this structure already produced an
-        // accepted solve (repatching only changes rates), so the iterative
-        // stages can skip re-verifying strong connectivity.
+        // accepted solve (repatching only changes rates), so the solve can
+        // skip re-verifying strong connectivity: the traversal runs once
+        // per chain shape, not once per candidate.
         let solver = FallbackSolver::default()
             .with_dense_preferred_below(self.dense_cutover + 1)
             .with_irreducibility_assumed(hint.is_some());
@@ -372,28 +454,15 @@ impl AvailabilityEngine for CtmcEngine {
         // cancellation token carry over unchanged.
         let budget = budget.for_candidate();
 
-        let Some(key) = ChainKey::for_model(model, cap) else {
-            // Shape too wide for a key (>64 classes): evaluate uncached but
-            // still through the shared solve path and scratch arena.
-            let explored = self.explore_chain_budgeted(model, &budget)?;
-            let down = self.down_mask(model, &explored);
-            let mut local = CachedChain {
-                explored,
-                down,
-                pi: Vec::new(),
-                cold_iterations: None,
-            };
-            return self.evaluate_chain(&mut local, scratch, stats, &budget);
-        };
+        check_width(model)?;
+        let key = ChainKey::for_model(model, cap);
 
         // Same shape seen before: patch the cached chain's rates in place
         // instead of re-exploring. `repatch` verifies the structure exactly
         // and leaves the chain untouched on any mismatch, so a (practically
         // impossible) key collision falls back to a full re-explore below.
         let repatched = match chains.get_mut(&key) {
-            Some(cached) => cached
-                .explored
-                .repatch(|st| self.successor_rates(model, cap, st)),
+            Some(cached) => cached.explored.repatch(|st| successors(model, cap, st)),
             None => false,
         };
         if repatched {
@@ -618,6 +687,27 @@ mod tests {
     fn rejects_invalid_model() {
         let bad = TierModel::new(1, 1, 0); // no classes
         assert!(CtmcEngine::default().evaluate(&bad).is_err());
+    }
+
+    #[test]
+    fn class_count_is_bounded_by_the_state_width() {
+        let with_classes = |count: usize| {
+            (0..count).fold(TierModel::new(1, 1, 0), |model, i| {
+                model.with_class(simple_class(1000.0 + i as f64, 10.0))
+            })
+        };
+        let engine = CtmcEngine::default().with_max_concurrent(1);
+        let widest = engine.evaluate(&with_classes(MAX_CLASSES)).unwrap();
+        assert!(widest.unavailability() > 0.0);
+        let err = engine.evaluate(&with_classes(MAX_CLASSES + 1)).unwrap_err();
+        assert!(
+            matches!(&err, AvailError::InvalidModel { detail } if detail.contains("at most 64")),
+            "{err}"
+        );
+        let mut session = EvalSession::new();
+        assert!(engine
+            .evaluate_with_session(&with_classes(MAX_CLASSES + 1), &mut session)
+            .is_err());
     }
 
     #[test]

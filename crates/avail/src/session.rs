@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use aved_markov::{Explored, SolveBudget, SolveScratch};
 
-use crate::engine_ctmc::St;
+use crate::engine_ctmc::{St, MAX_CLASSES};
 use crate::TierModel;
 
 /// Structural shape of a tier chain: every model attribute that determines
@@ -49,21 +49,18 @@ pub(crate) struct ChainKey {
 }
 
 impl ChainKey {
-    /// The key for `model` under truncation `cap`, or `None` when the model
-    /// has more classes than the mask can hold (such a model is evaluated
-    /// uncached — correct, just cold).
-    pub(crate) fn for_model(model: &TierModel, cap: u32) -> Option<ChainKey> {
+    /// The key for `model` under truncation `cap`. The model has at most
+    /// [`MAX_CLASSES`] classes (the engine checks before keying).
+    pub(crate) fn for_model(model: &TierModel, cap: u32) -> ChainKey {
         let classes = model.classes();
-        if classes.len() > 64 {
-            return None;
-        }
+        debug_assert!(classes.len() <= MAX_CLASSES);
         let mut failover_mask = 0_u64;
         for (i, class) in classes.iter().enumerate() {
             if class.uses_failover() {
                 failover_mask |= 1 << i;
             }
         }
-        Some(ChainKey {
+        ChainKey {
             n: model.n(),
             m: model.m(),
             s: model.s(),
@@ -71,7 +68,7 @@ impl ChainKey {
             cap,
             n_classes: classes.len(),
             failover_mask,
-        })
+        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! scientific-service computation-tier frontier sweep produces (duplicates
 //! removed, as the model cache would), solved by the exact CTMC engine on
 //! its iterative path (`with_dense_cutover(0)`, so every solve is
-//! warm-startable Gauss-Seidel/power iteration rather than dense
-//! elimination). The cold pass gives every model a fresh `EvalSession`;
+//! warm-startable Gauss-Seidel/power iteration rather than the direct
+//! GTH solve). The cold pass gives every model a fresh `EvalSession`;
 //! the warm pass reuses one session across the locality-ordered stream,
 //! so each solve can repatch the previous chain in place and start from
 //! the neighboring steady state.

@@ -105,6 +105,11 @@ impl CsrMatrix {
             .map(|i| start + i)
     }
 
+    /// The column of flat entry `idx` when that entry lies in row `r`.
+    pub(crate) fn column_in_row(&self, r: usize, idx: usize) -> Option<usize> {
+        (self.row_starts[r] <= idx && idx < self.row_starts[r + 1]).then(|| self.entries[idx].0)
+    }
+
     /// The stored value at flat entry position `idx` (see
     /// [`CsrMatrix::entry_index`]).
     ///

@@ -47,6 +47,12 @@ impl Ctmc {
         self.rows.entry_index(from, to)
     }
 
+    /// Destination of flat entry `idx` when that entry is an outgoing
+    /// transition of `from`.
+    pub(crate) fn entry_target(&self, from: usize, idx: usize) -> Option<usize> {
+        self.rows.column_in_row(from, idx)
+    }
+
     /// Rate-only rebuild: replaces every transition rate in flat entry
     /// order, keeping the sparsity structure, and re-derives the exit rates
     /// exactly as [`Ctmc::from_parts`] does — so a patched chain is

@@ -6,9 +6,9 @@
 //! explicit [`Ctmc`](crate::Ctmc) by breadth-first exploration from an
 //! initial state, assigning dense indices as states are discovered.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::hash::Hash;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::{BudgetResource, Ctmc, CtmcBuilder, MarkovError, SolveBudget};
 
@@ -21,15 +21,56 @@ const CSR_BYTES_PER_STATE: usize = 2 * 8;
 /// How many dequeued states pass between cooperative budget checkpoints.
 const EXPLORE_CHECK_INTERVAL: usize = 256;
 
+/// Word-at-a-time multiplicative hasher for exploration's state index.
+///
+/// The index is private, built from trusted model states and never
+/// iterated (the `states` vector fixes the order), so the DoS resistance
+/// of the standard SipHash buys nothing; this hash is a few cycles per
+/// word and fully deterministic.
+#[derive(Debug, Clone, Copy, Default)]
+struct StateHasher(u64);
+
+impl StateHasher {
+    const SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for StateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0_u8; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0_u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes best into the high bits; rotate them down to
+        // the low bits that pick a bucket.
+        self.0.rotate_left(26)
+    }
+}
+
 /// The result of exploring a procedural model: the chain plus the mapping
 /// between model states and CTMC indices.
 #[derive(Debug, Clone)]
 pub struct Explored<S> {
     ctmc: Ctmc,
     states: Vec<S>,
-    /// Inverse of `states`, retained so [`Explored::repatch`] can map rule
-    /// successors back to indices without re-running BFS.
-    index: HashMap<S, usize>,
+    /// Flat CSR entry of every transition exploration recorded, in rule
+    /// output order (state by state): where [`Explored::repatch`] expects
+    /// each rule output to land.
+    recorded: Vec<u32>,
     /// Reusable per-entry rate accumulator for `repatch`.
     patch_values: Vec<f64>,
 }
@@ -72,22 +113,28 @@ impl<S> Explored<S> {
 impl<S: Eq + Hash> Explored<S> {
     /// Rate-only rebuild: re-runs `successors` over the already-discovered
     /// states and patches the transition rates in place, keeping the state
-    /// indexing and sparsity structure — no BFS, no hashing of new states,
-    /// no CSR re-sort.
+    /// indexing and sparsity structure — no BFS, no new states, no CSR
+    /// re-sort, no allocation of its own. Each rule output is checked edge
+    /// by edge against the entry exploration recorded at the same output
+    /// position: it must be a transition of the same state into the same
+    /// successor (one state comparison).
     ///
     /// Returns `true` on success. Returns `false` — leaving the chain
-    /// untouched — whenever the rule's nonzero transition structure differs
-    /// from the stored one in any way: a successor state that was never
-    /// discovered, a `from → to` pair with no stored entry, a stored entry
-    /// receiving no (or non-positive) contribution, or a non-finite or
-    /// negative rate. The caller then falls back to a full
-    /// [`explore`], which also surfaces the proper error for invalid rules.
+    /// untouched — whenever the rule's outputs differ from the recorded
+    /// ones in any way but their rates: a successor that is not the
+    /// recorded one (a state never discovered, a new edge, or the same
+    /// edges emitted in another order), a stored entry receiving no (or
+    /// non-positive) contribution, or a non-finite or negative rate. The
+    /// caller then falls back to a full [`explore`], which also surfaces
+    /// the proper error for invalid rules. (Chains past `u32::MAX`
+    /// transitions record no positions and always take that path.)
     ///
     /// When it succeeds, the patched chain is **bit-identical** to the one
-    /// a fresh `explore` of the same rule would build: contributions to
-    /// each entry are accumulated in rule-output order, which matches the
-    /// insertion-order summation of the (stable-sorted) triplet build, and
-    /// exit rates are re-derived the same way.
+    /// a fresh `explore` of the same rule would build: the outputs meet
+    /// the same states in the same order, contributions to each entry are
+    /// accumulated in rule-output order, which matches the insertion-order
+    /// summation of the (stable-sorted) triplet build, and exit rates are
+    /// re-derived the same way.
     pub fn repatch<F, I>(&mut self, successors: F) -> bool
     where
         F: Fn(&S) -> I,
@@ -98,6 +145,7 @@ impl<S: Eq + Hash> Explored<S> {
         values.clear();
         values.resize(nnz, 0.0);
         let mut ok = true;
+        let mut recorded = self.recorded.iter();
         'outer: for (from, state) in self.states.iter().enumerate() {
             for (rate, next) in successors(state) {
                 if rate == 0.0 {
@@ -107,12 +155,13 @@ impl<S: Eq + Hash> Explored<S> {
                     ok = false; // invalid rule: rebuild reports the error
                     break 'outer;
                 }
-                let Some(&to) = self.index.get(&next) else {
-                    ok = false; // new state: topology changed
-                    break 'outer;
-                };
-                let Some(idx) = self.ctmc.entry_index(from, to) else {
-                    ok = false; // new edge (or self-loop): topology changed
+                let recorded_edge = recorded.next().and_then(|&idx| {
+                    let idx = idx as usize;
+                    let to = self.ctmc.entry_target(from, idx)?;
+                    (self.states[to] == next).then_some(idx)
+                });
+                let Some(idx) = recorded_edge else {
+                    ok = false; // topology (or output order) changed
                     break 'outer;
                 };
                 values[idx] += rate;
@@ -210,7 +259,7 @@ where
     F: Fn(&S) -> I,
     I: IntoIterator<Item = (f64, S)>,
 {
-    let mut index: HashMap<S, usize> = HashMap::new();
+    let mut index: HashMap<S, usize, BuildHasherDefault<StateHasher>> = HashMap::default();
     let mut states: Vec<S> = Vec::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
@@ -236,9 +285,9 @@ where
             if rate == 0.0 {
                 continue;
             }
-            let to = match index.get(&next) {
-                Some(&i) => i,
-                None => {
+            let to = match index.entry(next) {
+                Entry::Occupied(seen) => *seen.get(),
+                Entry::Vacant(new) => {
                     if states.len() >= budget_states {
                         return Err(MarkovError::BudgetExhausted {
                             phase: "explore",
@@ -254,8 +303,8 @@ where
                         });
                     }
                     let i = states.len();
-                    index.insert(next.clone(), i);
-                    states.push(next);
+                    states.push(new.key().clone());
+                    new.insert(i);
                     queue.push_back(i);
                     i
                 }
@@ -277,14 +326,21 @@ where
     }
 
     let mut builder = CtmcBuilder::new(states.len());
-    for (from, to, rate) in transitions {
+    for &(from, to, rate) in &transitions {
         builder.rate(from, to, rate);
     }
     let ctmc = builder.build_lenient()?;
+    let recorded = transitions
+        .iter()
+        .map_while(|&(from, to, _)| u32::try_from(ctmc.entry_index(from, to)?).ok())
+        .collect();
+    // Explored chains are long-lived (sessions cache them per shape), so
+    // give back the doubling slack.
+    states.shrink_to_fit();
     Ok(Explored {
         ctmc,
         states,
-        index,
+        recorded,
         patch_values: Vec::new(),
     })
 }
@@ -518,6 +574,55 @@ mod tests {
         };
         assert!(e.repatch(scaled));
         assert_eq!(e.ctmc(), explore(0_u8, 100, scaled).unwrap().ctmc());
+    }
+
+    #[test]
+    fn repatch_rejects_outputs_that_miss_their_recorded_entry() {
+        // The same edges emitted in another order miss the entries
+        // exploration recorded: no patch, the caller explores again.
+        let rule = |scale: f64, reversed: bool| {
+            move |&k: &u8| {
+                let mut out = Vec::new();
+                if k < 4 {
+                    out.push((scale * f64::from(4 - k), k + 1));
+                }
+                if k > 0 {
+                    out.push((2.0 * f64::from(k), k - 1));
+                }
+                if k == 2 {
+                    out.push((0.5, 0));
+                }
+                if reversed {
+                    out.reverse();
+                }
+                out
+            }
+        };
+        let mut warm = explore(0_u8, 100, rule(1.0, false)).unwrap();
+        let before = warm.ctmc().clone();
+        assert!(!warm.repatch(rule(1.5, true)));
+        assert_eq!(warm.ctmc(), &before, "failed repatch must not corrupt");
+        assert!(warm.repatch(rule(0.25, false)));
+        assert_eq!(
+            warm.ctmc(),
+            explore(0_u8, 100, rule(0.25, false)).unwrap().ctmc()
+        );
+
+        // An output moved from state 0 to state 1 meets the entry recorded
+        // for 0 -> 2: the right successor, but in another state's row.
+        let moved = |shifted: bool| {
+            move |&k: &u8| match k {
+                0 if shifted => vec![(1.0, 1_u8)],
+                0 => vec![(1.0, 1_u8), (1.0, 2)],
+                1 if shifted => vec![(1.0, 2_u8), (1.0, 2), (1.0, 0)],
+                1 => vec![(1.0, 2_u8), (1.0, 0)],
+                _ => vec![(1.0, 0_u8)],
+            }
+        };
+        let mut warm = explore(0_u8, 10, moved(false)).unwrap();
+        let before = warm.ctmc().clone();
+        assert!(!warm.repatch(moved(true)));
+        assert_eq!(warm.ctmc(), &before);
     }
 
     #[test]

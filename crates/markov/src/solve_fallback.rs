@@ -4,8 +4,8 @@
 //! One non-converged Gauss–Seidel sweep used to abort an entire design
 //! search. [`FallbackSolver`] instead treats solver failure as an expected
 //! event: it tries Gauss–Seidel first, falls back to uniformized power
-//! iteration, then to dense direct elimination, giving each attempt its own
-//! iteration and wall-clock budget. Every produced solution — whichever
+//! iteration, then to the direct GTH state reduction, giving each attempt
+//! its own iteration and wall-clock budget. Every produced solution — whichever
 //! solver made it — must pass an independent acceptance test before it is
 //! returned: the balance residual `‖πQ‖∞` has to be below
 //! [`FallbackSolver::residual_tolerance`], all probabilities finite and
@@ -16,7 +16,7 @@
 //! (the availability engines and, above them, the design search) can report
 //! how degraded an evaluation was.
 
-use crate::scratch::{sanitize_hint, SolveScratch};
+use crate::scratch::{SolveScratch, WarmHint};
 use crate::{
     Ctmc, DenseSolver, GaussSeidelSolver, MarkovError, PowerSolver, SolveBudget, SteadyStateSolver,
 };
@@ -29,7 +29,7 @@ pub enum SolverKind {
     GaussSeidel,
     /// Uniformized power iteration.
     Power,
-    /// Dense Gaussian elimination.
+    /// The direct GTH state reduction of [`DenseSolver`].
     Dense,
 }
 
@@ -144,11 +144,12 @@ impl SolveDiagnostics {
 /// Attempt order depends on chain size: below
 /// [`FallbackSolver::with_dense_preferred_below`] states the dense direct
 /// solve runs first (it is exact and fastest there), falling back to
-/// Gauss–Seidel then power iteration if elimination fails. At or above the
+/// Gauss–Seidel then power iteration if the reduction fails. At or above the
 /// cutover the order is Gauss–Seidel → power iteration → dense (the dense
 /// attempt is skipped entirely past
-/// [`FallbackSolver::with_dense_state_limit`], where O(n³) elimination
-/// would dwarf any iterative budget).
+/// [`FallbackSolver::with_dense_state_limit`], where the direct solve's
+/// quadratic storage and worst-case cubic fill would dwarf any iterative
+/// budget).
 ///
 /// # Examples
 ///
@@ -243,8 +244,8 @@ impl FallbackSolver {
         self
     }
 
-    /// Caps the wall-clock time of each *iterative* attempt (dense
-    /// elimination is non-preemptible and bounded by the state limit
+    /// Caps the wall-clock time of each *iterative* attempt (the direct
+    /// solve is non-preemptible and bounded by the state limit
     /// instead). `None` removes the cap. Defaults to 30 s.
     #[must_use]
     pub fn with_attempt_budget(mut self, budget: Option<Duration>) -> FallbackSolver {
@@ -268,14 +269,17 @@ impl FallbackSolver {
         self
     }
 
-    /// Declares the chain's structure already verified: the iterative
-    /// stages skip their up-front strong-connectivity traversals.
+    /// Declares the chain's structure already verified: every stage, the
+    /// direct one included, skips its up-front strong-connectivity
+    /// traversal.
     ///
     /// Only sound when the identical transition structure previously
     /// produced an accepted solution — the warm-start engines set this for
     /// rate-only in-place rebuilds of cached chains, where irreducibility
     /// (a purely structural property) cannot have changed. The acceptance
-    /// gate still re-verifies every solution.
+    /// gate still re-verifies every solution, and the direct stage's own
+    /// `s_k > 0` guard still rejects a state with no way back. The
+    /// computed π does not depend on the flag, bit for bit.
     #[must_use]
     pub fn with_irreducibility_assumed(mut self, assume: bool) -> FallbackSolver {
         self.assume_irreducible = assume;
@@ -320,24 +324,24 @@ impl FallbackSolver {
         Ok(residual)
     }
 
-    fn attempt_order(&self, n_states: usize) -> Vec<SolverKind> {
-        let mut order = if n_states < self.dense_preferred_below {
-            vec![
-                SolverKind::Dense,
-                SolverKind::GaussSeidel,
-                SolverKind::Power,
-            ]
-        } else {
-            vec![
-                SolverKind::GaussSeidel,
-                SolverKind::Power,
-                SolverKind::Dense,
-            ]
-        };
+    fn attempt_order(&self, n_states: usize) -> &'static [SolverKind] {
+        const DIRECT_FIRST: [SolverKind; 3] = [
+            SolverKind::Dense,
+            SolverKind::GaussSeidel,
+            SolverKind::Power,
+        ];
+        const ITERATIVE_FIRST: [SolverKind; 3] = [
+            SolverKind::GaussSeidel,
+            SolverKind::Power,
+            SolverKind::Dense,
+        ];
         if n_states > self.dense_state_limit {
-            order.retain(|k| *k != SolverKind::Dense);
+            &ITERATIVE_FIRST[..2]
+        } else if n_states < self.dense_preferred_below {
+            &DIRECT_FIRST
+        } else {
+            &ITERATIVE_FIRST
         }
-        order
     }
 
     /// Runs the fallback chain, returning the accepted solution (or the
@@ -362,8 +366,10 @@ impl FallbackSolver {
     /// Adversarial hints degrade to a cold start: a wrong-sized, non-finite
     /// or zero-mass hint is discarded (see `SolveDiagnostics::warm_hint_used`),
     /// and a non-normalized one is renormalized. `scratch` carries the
-    /// iteration vectors, transposed adjacency, and dense matrix across
-    /// calls so repeated solves stop reallocating them.
+    /// iteration vectors, transposed adjacency, and the direct solve's rate
+    /// matrix across calls so repeated solves stop reallocating them. The
+    /// hint is validated in place and copied only when an iterative stage
+    /// starts from it; the accepted π is moved out of the scratch.
     pub fn solve_warm(
         &self,
         ctmc: &Ctmc,
@@ -389,14 +395,14 @@ impl FallbackSolver {
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> (Result<Vec<f64>, MarkovError>, SolveDiagnostics) {
-        let warm = hint.and_then(|h| sanitize_hint(ctmc.n_states(), h));
+        let warm = hint.and_then(|h| WarmHint::new(ctmc.n_states(), h));
         let mut diagnostics = SolveDiagnostics {
             warm_hint_used: warm.is_some(),
             ..SolveDiagnostics::default()
         };
         let governed = !budget.is_unlimited();
         let mut last_error = MarkovError::EmptyChain;
-        for kind in self.attempt_order(ctmc.n_states()) {
+        for &kind in self.attempt_order(ctmc.n_states()) {
             // Re-check before every attempt: the dense stage is
             // non-preemptible, so this gate is its only cancellation point.
             if governed {
@@ -415,16 +421,19 @@ impl FallbackSolver {
                     if self.assume_irreducible {
                         solver = solver.assuming_irreducible();
                     }
-                    solver.sweep_into_budgeted(ctmc, warm.as_deref(), scratch, budget)
+                    solver.sweep_into_budgeted(ctmc, warm, scratch, budget)
                 }
                 SolverKind::Power => {
                     let mut solver = self.power;
                     if let Some(allowance) = self.attempt_budget {
                         solver = solver.with_time_budget(allowance);
                     }
-                    solver.power_into_budgeted(ctmc, warm.as_deref(), scratch, budget)
+                    solver.power_into_budgeted(ctmc, warm, scratch, budget)
                 }
-                SolverKind::Dense => DenseSolver::new().solve_into(ctmc, scratch).map(|()| 0),
+                SolverKind::Dense => DenseSolver::new()
+                    .assuming_irreducible(self.assume_irreducible)
+                    .solve_into(ctmc, scratch)
+                    .map(|()| 0),
             };
             let (checked, residual) = match raw {
                 Ok(iterations) => match self.accept(ctmc, &scratch.pi) {
@@ -459,7 +468,7 @@ impl FallbackSolver {
                         iterations,
                         warm_started,
                     });
-                    return (Ok(scratch.pi.clone()), diagnostics);
+                    return (Ok(std::mem::take(&mut scratch.pi)), diagnostics);
                 }
                 Err((e, iterations)) => {
                     // Structural failures apply to every solver: stop early
@@ -593,6 +602,82 @@ mod tests {
     }
 
     #[test]
+    fn a_rounding_breakdown_of_the_direct_stage_moves_on() {
+        // An irreducible ring whose reduction underflows to s = 0 (see
+        // `solve_dense::tests::rounding_breakdown_on_an_irreducible_chain_is_singular`):
+        // the direct stage reports it as numerical, not structural, so the
+        // iterative stages still run, with the connectivity check done or
+        // taken on trust alike.
+        let mut b = CtmcBuilder::new(3);
+        b.rate(2, 0, 1.0).rate(0, 1, 1e-200).rate(1, 2, 1e200);
+        let ring = b.build().unwrap();
+        for assume in [false, true] {
+            let (_, diag) = FallbackSolver::default()
+                .with_irreducibility_assumed(assume)
+                .solve_warm(&ring, None, &mut SolveScratch::new());
+            assert_eq!(diag.attempts[0].solver, SolverKind::Dense);
+            assert_eq!(diag.attempts[0].error, Some(MarkovError::Singular));
+            assert!(diag.attempts.len() > 1, "no fallback after {diag:?}");
+        }
+    }
+
+    #[test]
+    fn connectivity_is_checked_on_a_first_solve_and_may_be_skipped_after_a_repatch() {
+        // A first solve of a chain shape has no hint, so the engines leave
+        // the assumption off and the traversal still rejects a reducible
+        // chain, even one whose reduction alone would not notice (state 2
+        // is transient: it reaches the closed class {0, 1} but not back).
+        let mut b = CtmcBuilder::new(3);
+        b.rate(0, 1, 1.0).rate(1, 0, 1.0).rate(2, 0, 1.0);
+        let reducible = b.build_unchecked();
+        let mut scratch = SolveScratch::new();
+        let (pi, diag) = FallbackSolver::default().solve_warm(&reducible, None, &mut scratch);
+        assert!(matches!(pi, Err(MarkovError::Reducible { .. })));
+        assert_eq!(diag.attempts.len(), 1);
+
+        // A rate-only rebuild keeps the structure, so the repatched chain
+        // may skip the traversal: its π is the same bit for bit.
+        let rule = |scale: f64| {
+            move |&k: &u8| {
+                let mut out = vec![(scale * f64::from(4 - k), (k + 1) % 5)];
+                if k > 0 {
+                    out.push((2.0 + f64::from(k) / scale, k - 1));
+                }
+                out
+            }
+        };
+        let mut explored = crate::explore(0_u8, 100, rule(1.0)).unwrap();
+        let solver = FallbackSolver::default();
+        let (first, _) = solver.solve_warm(explored.ctmc(), None, &mut scratch);
+        let first = first.unwrap();
+        assert!(explored.repatch(rule(2.5)));
+        let (checked, _) = solver.solve_warm(explored.ctmc(), Some(&first), &mut scratch);
+        let (assumed, diag) = solver.with_irreducibility_assumed(true).solve_warm(
+            explored.ctmc(),
+            Some(&first),
+            &mut scratch,
+        );
+        assert_eq!(diag.accepted_solver(), Some(SolverKind::Dense));
+        let bits = |pi: Vec<f64>| pi.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(checked.unwrap()), bits(assumed.unwrap()));
+    }
+
+    #[test]
+    fn attempt_order_follows_the_size_cutovers() {
+        use SolverKind::{Dense, GaussSeidel, Power};
+        let solver = FallbackSolver::default()
+            .with_dense_preferred_below(10)
+            .with_dense_state_limit(100);
+        assert_eq!(solver.attempt_order(9), &[Dense, GaussSeidel, Power]);
+        assert_eq!(solver.attempt_order(10), &[GaussSeidel, Power, Dense]);
+        assert_eq!(solver.attempt_order(101), &[GaussSeidel, Power]);
+        // Past the state limit the direct stage is dropped even below the
+        // preference cutover.
+        let solver = solver.with_dense_preferred_below(1000);
+        assert_eq!(solver.attempt_order(101), &[GaussSeidel, Power]);
+    }
+
+    #[test]
     fn residual_check_rejects_sloppy_solutions() {
         // A solver tolerance so loose it stops on the uniform initial guess
         // must be caught by the residual acceptance test, then rescued by
@@ -628,7 +713,7 @@ mod tests {
         assert!(diag.attempts.is_empty(), "no attempt should have launched");
 
         // A sweep cap starves Gauss-Seidel mid-chain; the budget error must
-        // NOT trigger a fallback to power iteration or dense elimination.
+        // NOT trigger a fallback to power iteration or the direct solve.
         let capped = SolveBudget::unlimited().with_max_sweeps(2);
         let (pi, diag) = solver.solve_warm_budgeted(&ctmc, None, &mut SolveScratch::new(), &capped);
         assert!(matches!(pi, Err(MarkovError::BudgetExhausted { .. })));

@@ -1,6 +1,6 @@
 //! Iterative steady-state solution by Gauss–Seidel sweeps.
 
-use crate::scratch::{sanitize_hint, SolveScratch};
+use crate::scratch::{SolveScratch, WarmHint};
 use crate::{BudgetResource, Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 
 /// Gauss–Seidel steady-state solver.
@@ -187,7 +187,7 @@ impl GaussSeidelSolver {
     /// unusable (wrong length, non-finite or negative entries, zero mass),
     /// plus every error `steady_state` can return.
     pub fn steady_state_from(&self, ctmc: &Ctmc, pi0: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        let hint = sanitize_hint(ctmc.n_states(), pi0).ok_or_else(|| {
+        let hint = WarmHint::new(ctmc.n_states(), pi0).ok_or_else(|| {
             MarkovError::InvalidSolverConfig {
                 detail: format!(
                     "warm-start hint unusable: need {} finite non-negative entries with positive mass",
@@ -196,18 +196,18 @@ impl GaussSeidelSolver {
             }
         })?;
         let mut scratch = SolveScratch::new();
-        self.sweep_into(ctmc, Some(&hint), &mut scratch)?;
+        self.sweep_into(ctmc, Some(hint), &mut scratch)?;
         Ok(std::mem::take(&mut scratch.pi))
     }
 
     /// The sweep loop, writing the solution into `scratch.pi` and reusing
     /// the scratch's transposed-adjacency buffers. Returns the number of
-    /// sweeps used. `warm`, when given, must already be sanitized
-    /// (normalized, non-negative, correct length).
+    /// sweeps used. `warm`, when given, is a validated hint for this chain;
+    /// it is copied into the iterate, normalized, before the first sweep.
     pub(crate) fn sweep_into(
         &self,
         ctmc: &Ctmc,
-        warm: Option<&[f64]>,
+        warm: Option<WarmHint<'_>>,
         scratch: &mut SolveScratch,
     ) -> Result<usize, MarkovError> {
         self.sweep_into_budgeted(ctmc, warm, scratch, &SolveBudget::unlimited())
@@ -222,7 +222,7 @@ impl GaussSeidelSolver {
     pub(crate) fn sweep_into_budgeted(
         &self,
         ctmc: &Ctmc,
-        warm: Option<&[f64]>,
+        warm: Option<WarmHint<'_>>,
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> Result<usize, MarkovError> {
@@ -268,7 +268,7 @@ impl GaussSeidelSolver {
         let start = self.time_budget.map(|_| std::time::Instant::now());
         pi.clear();
         match warm {
-            Some(hint) => pi.extend_from_slice(hint),
+            Some(hint) => hint.load_into(pi),
             None => pi.resize(n, 1.0 / n as f64),
         }
         let governed = !budget.is_unlimited();
@@ -583,7 +583,9 @@ mod tests {
         // A converged hint needs strictly fewer sweeps than the cold run.
         let mut scratch = crate::SolveScratch::new();
         let cold_sweeps = solver.sweep_into(&ctmc, None, &mut scratch).unwrap();
-        let warm_sweeps = solver.sweep_into(&ctmc, Some(&cold), &mut scratch).unwrap();
+        let warm_sweeps = solver
+            .sweep_into(&ctmc, WarmHint::new(cold.len(), &cold), &mut scratch)
+            .unwrap();
         assert!(
             warm_sweeps < cold_sweeps,
             "warm {warm_sweeps} vs cold {cold_sweeps}"

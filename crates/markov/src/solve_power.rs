@@ -1,6 +1,6 @@
 //! Iterative steady-state solution by uniformized power iteration.
 
-use crate::scratch::{sanitize_hint, SolveScratch};
+use crate::scratch::{SolveScratch, WarmHint};
 use crate::{BudgetResource, Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 
 /// Iterative steady-state solver for large sparse chains.
@@ -11,8 +11,8 @@ use crate::{BudgetResource, Ctmc, MarkovError, SolveBudget, SteadyStateSolver};
 /// sweeps drops below the tolerance.
 ///
 /// Slower to converge for stiff chains than [`DenseSolver`](crate::DenseSolver)
-/// is to factorize, but memory-light and O(nnz) per sweep, so it scales to
-/// chains far beyond dense elimination. The availability engines use it when
+/// is to reduce, but memory-light and O(nnz) per sweep, so it scales to
+/// chains far beyond the direct solve's quadratic storage. The availability engines use it when
 /// the truncated state space grows past the dense cutover.
 ///
 /// # Examples
@@ -108,7 +108,7 @@ impl PowerSolver {
     /// unusable (wrong length, non-finite or negative entries, zero mass),
     /// plus every error `steady_state` can return.
     pub fn steady_state_from(&self, ctmc: &Ctmc, pi0: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        let hint = sanitize_hint(ctmc.n_states(), pi0).ok_or_else(|| {
+        let hint = WarmHint::new(ctmc.n_states(), pi0).ok_or_else(|| {
             MarkovError::InvalidSolverConfig {
                 detail: format!(
                     "warm-start hint unusable: need {} finite non-negative entries with positive mass",
@@ -117,17 +117,18 @@ impl PowerSolver {
             }
         })?;
         let mut scratch = SolveScratch::new();
-        self.power_into(ctmc, Some(&hint), &mut scratch)?;
+        self.power_into(ctmc, Some(hint), &mut scratch)?;
         Ok(std::mem::take(&mut scratch.pi))
     }
 
     /// The iteration loop, writing the solution into `scratch.pi` and
     /// reusing the scratch's iterate buffers. Returns the number of sweeps
-    /// used. `warm`, when given, must already be sanitized.
+    /// used. `warm`, when given, is a validated hint for this chain; it is
+    /// copied into the iterate, normalized, before the first step.
     pub(crate) fn power_into(
         &self,
         ctmc: &Ctmc,
-        warm: Option<&[f64]>,
+        warm: Option<WarmHint<'_>>,
         scratch: &mut SolveScratch,
     ) -> Result<usize, MarkovError> {
         self.power_into_budgeted(ctmc, warm, scratch, &SolveBudget::unlimited())
@@ -141,7 +142,7 @@ impl PowerSolver {
     pub(crate) fn power_into_budgeted(
         &self,
         ctmc: &Ctmc,
-        warm: Option<&[f64]>,
+        warm: Option<WarmHint<'_>>,
         scratch: &mut SolveScratch,
         budget: &SolveBudget,
     ) -> Result<usize, MarkovError> {
@@ -167,7 +168,7 @@ impl PowerSolver {
         let SolveScratch { pi, next, .. } = scratch;
         pi.clear();
         match warm {
-            Some(hint) => pi.extend_from_slice(hint),
+            Some(hint) => hint.load_into(pi),
             None => pi.resize(n, 1.0 / n as f64),
         }
         next.clear();
@@ -382,7 +383,9 @@ mod tests {
         }
         let mut scratch = crate::SolveScratch::new();
         let cold_sweeps = solver.power_into(&ctmc, None, &mut scratch).unwrap();
-        let warm_sweeps = solver.power_into(&ctmc, Some(&cold), &mut scratch).unwrap();
+        let warm_sweeps = solver
+            .power_into(&ctmc, WarmHint::new(cold.len(), &cold), &mut scratch)
+            .unwrap();
         assert!(
             warm_sweeps < cold_sweeps,
             "warm {warm_sweeps} vs cold {cold_sweeps}"
